@@ -689,18 +689,22 @@ pub(crate) fn render_explore(
             report.dataset_rate(m),
             report.len()
         );
-        let kept: Option<std::collections::HashSet<usize>> = match (args.prune, args.fdr) {
-            (Some(eps), _) => Some(prune_redundant(report, m, eps).into_iter().collect()),
-            (None, Some(q)) => Some(report.significant_at_fdr(m, q).into_iter().collect()),
-            (None, None) => None,
+        let shown = match (args.prune, args.fdr) {
+            (Some(eps), _) => report.top_k_among(
+                prune_redundant(report, m, eps),
+                m,
+                args.top,
+                SortBy::Divergence,
+            ),
+            (None, Some(q)) => report.top_k_among(
+                report.significant_at_fdr(m, q),
+                m,
+                args.top,
+                SortBy::Divergence,
+            ),
+            (None, None) => report.top_k(m, args.top, SortBy::Divergence),
         };
-        let mut shown = 0;
-        for idx in report.ranked(m, SortBy::Divergence) {
-            if let Some(kept) = &kept {
-                if !kept.contains(&idx) {
-                    continue;
-                }
-            }
+        for idx in shown {
             let _ = writeln!(
                 out,
                 "  {:<55} sup={:.2} Δ={:+.3} t={:.1}",
@@ -709,10 +713,6 @@ pub(crate) fn render_explore(
                 report.divergence(idx, m),
                 report.t_statistic(idx, m),
             );
-            shown += 1;
-            if shown >= args.top {
-                break;
-            }
         }
     }
     Ok(completeness_status(report, out))
@@ -980,6 +980,26 @@ b,y,0,1
         assert!(first_row.contains("grp=a"), "got: {first_row}");
         assert!(first_row.contains("Δ=+0.500"), "got: {first_row}");
         assert!(out.contains("Δ=+0.250"));
+    }
+
+    #[test]
+    fn explore_top_limits_rows_with_and_without_pruning() {
+        for extra in [&[][..], &["--prune", "0.0"], &["--fdr", "1.0"]] {
+            for (top, rows) in [(0, 0), (1, 1)] {
+                let mut argv = base_args("explore");
+                argv.extend(extra.iter().map(|s| s.to_string()));
+                argv.extend(["--top".to_string(), top.to_string()]);
+                let args = Args::parse(argv).unwrap();
+                let mut out = String::new();
+                run_with_content(&args, CSV, &mut out).unwrap();
+                // One header line, then the rows.
+                assert_eq!(
+                    out.lines().count(),
+                    1 + rows,
+                    "{extra:?} --top {top}: {out}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -935,7 +935,7 @@ fn handle_query(state: &mut ServeState, args: &Args, request: &Value) -> Result<
     }
 
     let mut rows = Vec::new();
-    for idx in report.ranked(0, SortBy::Divergence).into_iter().take(top) {
+    for idx in report.top_k(0, top, SortBy::Divergence) {
         rows.push(obj(vec![
             ("itemset", text(report.display_itemset(report.items(idx)))),
             ("support", Value::Number(report.support_fraction(idx))),

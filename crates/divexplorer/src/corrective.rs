@@ -5,7 +5,11 @@
 //! would never see these; finding them requires the exhaustive exploration
 //! DivExplorer performs.
 
-use crate::item::{without, ItemId};
+use std::cmp::Ordering;
+
+use fpm::Subset;
+
+use crate::item::ItemId;
 use crate::report::DivergenceReport;
 
 /// One corrective observation: adding `item` to `base` shrinks `|Δ|`.
@@ -31,74 +35,133 @@ pub struct CorrectiveItem {
 ///
 /// Iterates over the extended patterns `K = I ∪ {α}` (every frequent pattern
 /// of length ≥ 1) and compares each against its `|K|` immediate sub-patterns,
-/// which are frequent by closure. Pairs whose base or extended divergence is
-/// undefined are skipped. Results are sorted by corrective factor, largest
-/// first.
+/// read from the report's immediate-subset index (frequent by closure; a
+/// sub-pattern missing from a filtered report is skipped). Pairs
+/// whose base or extended divergence is undefined are skipped. Results are
+/// sorted by corrective factor, largest first, then by base (lexicographic)
+/// and item.
 pub fn corrective_items(report: &DivergenceReport, m: usize) -> Vec<CorrectiveItem> {
-    let mut out = Vec::new();
-    for k_idx in 0..report.len() {
-        let extended = report.pattern(k_idx);
-        if extended.items.is_empty() {
-            continue;
-        }
-        let delta_ext = report.divergence(k_idx, m);
-        if delta_ext.is_nan() {
-            continue;
-        }
-        for &alpha in extended.items {
-            let base = without(extended.items, alpha);
-            if base.is_empty() {
-                // Correcting the empty pattern (Δ=0) is impossible:
-                // |Δ({α})| ≥ 0 = |Δ(∅)|.
-                continue;
-            }
-            let Some(base_idx) = report.find(&base) else {
-                // Only possible under a max_len cap; skip quietly.
-                continue;
-            };
-            let delta_base = report.divergence(base_idx, m);
-            if delta_base.is_nan() {
-                continue;
-            }
-            let factor = delta_base.abs() - delta_ext.abs();
-            if factor > 0.0 {
-                let p_base = report.counts(base_idx).get(m).posterior();
-                let p_ext = extended.counts.get(m).posterior();
-                out.push(CorrectiveItem {
-                    base,
-                    item: alpha,
-                    delta_base,
-                    delta_extended: delta_ext,
-                    corrective_factor: factor,
-                    t: p_base.welch_t(&p_ext),
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| {
-        b.corrective_factor
-            .partial_cmp(&a.corrective_factor)
-            .unwrap()
-            .then_with(|| a.base.cmp(&b.base))
-            .then_with(|| a.item.cmp(&b.item))
-    });
-    out
+    let _span = obs::span("corrective.items");
+    let delta = report.divergences(m);
+    let mut edges = corrective_edges(report, &delta);
+    edges.sort_unstable_by(|a, b| a.cmp(b, report));
+    edges
+        .iter()
+        .map(|e| e.materialize(report, &delta, m))
+        .collect()
 }
 
 /// The `k` most corrective observations, optionally requiring a minimum
-/// significance `min_t` of the corrective effect.
+/// significance `min_t` of the corrective effect: the first `k` of
+/// [`corrective_items`] with `t ≥ min_t`, found by a partial selection
+/// over compact edge keys, so only the winners are materialized.
 pub fn top_corrective(
     report: &DivergenceReport,
     m: usize,
     k: usize,
     min_t: Option<f64>,
 ) -> Vec<CorrectiveItem> {
-    let mut all = corrective_items(report, m);
-    if let Some(min_t) = min_t {
-        all.retain(|c| c.t >= min_t);
+    let _span = obs::span("corrective.top");
+    if k == 0 {
+        return Vec::new();
     }
-    all.truncate(k);
-    all
+    let delta = report.divergences(m);
+    let mut edges = corrective_edges(report, &delta);
+    if let Some(min_t) = min_t {
+        edges.retain(|e| e.t(report, m) >= min_t);
+    }
+    if k < edges.len() {
+        edges.select_nth_unstable_by(k - 1, |a, b| a.cmp(b, report));
+        edges.truncate(k);
+    }
+    edges.sort_unstable_by(|a, b| a.cmp(b, report));
+    edges
+        .iter()
+        .map(|e| e.materialize(report, &delta, m))
+        .collect()
+}
+
+/// One corrective lattice edge in compact form: `items(ext)[pos]` added
+/// to pattern `base` shrinks `|Δ|` by `factor`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    factor: f64,
+    base: u32,
+    ext: u32,
+    pos: u32,
+}
+
+impl Edge {
+    fn item(&self, report: &DivergenceReport) -> ItemId {
+        report.items(self.ext as usize)[self.pos as usize]
+    }
+
+    /// The result order: factor descending, then base lexicographic, then
+    /// item — with the extended pattern's index last, so duplicated
+    /// patterns keep their scan order.
+    fn cmp(&self, other: &Edge, report: &DivergenceReport) -> Ordering {
+        other
+            .factor
+            .partial_cmp(&self.factor)
+            .unwrap()
+            .then_with(|| {
+                report
+                    .items(self.base as usize)
+                    .cmp(report.items(other.base as usize))
+            })
+            .then_with(|| self.item(report).cmp(&other.item(report)))
+            .then_with(|| self.ext.cmp(&other.ext))
+    }
+
+    /// Welch t between the base and extended posterior rates.
+    fn t(&self, report: &DivergenceReport, m: usize) -> f64 {
+        let p_base = report.counts(self.base as usize).get(m).posterior();
+        let p_ext = report.counts(self.ext as usize).get(m).posterior();
+        p_base.welch_t(&p_ext)
+    }
+
+    fn materialize(&self, report: &DivergenceReport, delta: &[f64], m: usize) -> CorrectiveItem {
+        CorrectiveItem {
+            base: report.items(self.base as usize).to_vec(),
+            item: self.item(report),
+            delta_base: delta[self.base as usize],
+            delta_extended: delta[self.ext as usize],
+            corrective_factor: self.factor,
+            t: self.t(report, m),
+        }
+    }
+}
+
+/// Every corrective edge of the lattice, in scan order (extended pattern,
+/// then item position). `delta` holds every pattern's divergence.
+fn corrective_edges(report: &DivergenceReport, delta: &[f64]) -> Vec<Edge> {
+    let mut edges = Vec::new();
+    for (ext, &delta_ext) in delta.iter().enumerate() {
+        if delta_ext.is_nan() {
+            continue;
+        }
+        for (pos, sub) in report.subsets(ext).enumerate() {
+            // Correcting the empty pattern (Δ=0) is impossible:
+            // |Δ({α})| ≥ 0 = |Δ(∅)|. An absent base only happens in a
+            // report that is not subset-closed (e.g. filtered); skip it.
+            let Subset::Id(base) = sub else { continue };
+            let delta_base = delta[base];
+            if delta_base.is_nan() {
+                continue;
+            }
+            let factor = delta_base.abs() - delta_ext.abs();
+            if factor > 0.0 {
+                edges.push(Edge {
+                    factor,
+                    base: base as u32,
+                    ext: ext as u32,
+                    pos: pos as u32,
+                });
+            }
+        }
+    }
+    obs::counter("corrective.edges", edges.len() as u64);
+    edges
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! which is exactly what a complete [`DivergenceReport`] contains. This
 //! module computes the Eq. 8 approximation `Δ̃ᵍ(I, s)`.
 
-use rustc_hash::FxHashMap;
+use fpm::Subset;
 
 use crate::item::{is_subset, ItemId};
 use crate::report::DivergenceReport;
@@ -58,24 +58,18 @@ pub fn global_itemset_divergence_checked(
 /// [`global_item_divergence_checked`].
 ///
 /// For each frequent pattern `K ∋ α` with `J = K ∖ {α}` (frequent by
-/// closure), the term weight is
-/// `|J|!(|A|−|J|−1)! / (|A|! · Π_{b ∈ attr(K)} m_b)` — note
+/// closure, read from the report's immediate-subset index), the term weight
+/// is `|J|!(|A|−|J|−1)! / (|A|! · Π_{b ∈ attr(K)} m_b)` — note
 /// `attr(J) ∪ attr(α) = attr(K)`. Terms with undefined `Δ` are skipped.
 ///
 /// Returns `(item, Δ̃ᵍ)` pairs for every frequent item, sorted by item id.
 pub fn global_item_divergence(report: &DivergenceReport, m: usize) -> Vec<(ItemId, f64)> {
-    global_item_divergence_of(report, |report, items| {
-        if items.is_empty() {
-            Some(0.0)
-        } else {
-            report.divergence_of(items, m)
-        }
-    })
+    global_item_divergence_of(report, |report, idx| report.divergence(idx, m))
 }
 
 /// Generalized form of [`global_item_divergence`]: computes `Δ̃ᵍ` for an
-/// arbitrary divergence function over frequent itemsets (`None` = itemset
-/// unknown, `NaN` = undefined — both skip the term).
+/// arbitrary divergence function over the report's patterns, given by
+/// pattern index (`NaN` = undefined, which skips the term; `Δ(∅) = 0`).
 ///
 /// This is the hook behind Theorem 4.1's *linearity* axiom: combining two
 /// divergence notions linearly combines their global divergences (see the
@@ -83,55 +77,60 @@ pub fn global_item_divergence(report: &DivergenceReport, m: usize) -> Vec<(ItemI
 /// divergences, without re-mining.
 pub fn global_item_divergence_of(
     report: &DivergenceReport,
-    delta_of: impl Fn(&DivergenceReport, &[ItemId]) -> Option<f64>,
+    delta_of: impl Fn(&DivergenceReport, usize) -> f64,
 ) -> Vec<(ItemId, f64)> {
     let _span = obs::span("global_div.item_divergence");
-    let n_attrs = report.schema().n_attributes();
-    let weights = positional_weights(n_attrs);
+    let schema = report.schema();
+    let weights = positional_weights(schema.n_attributes());
+    let delta: Vec<f64> = (0..report.len()).map(|idx| delta_of(report, idx)).collect();
 
-    let mut acc: FxHashMap<ItemId, f64> = FxHashMap::default();
-    // Seed with all frequent single items so items with zero net effect
-    // still appear in the output.
-    for p in report.patterns() {
-        if p.items.len() == 1 {
-            acc.entry(p.items[0]).or_insert(0.0);
+    // One slot per item of the schema, summed in pattern order. `seen`
+    // marks the items that appear in the output: every frequent single
+    // item (so items with zero net effect still appear) and every item
+    // that received a term.
+    let n_items = schema.n_items() as usize;
+    let mut acc = vec![0.0f64; n_items];
+    let mut seen = vec![false; n_items];
+    for idx in 0..report.len() {
+        if let [item] = report.items(idx) {
+            seen[*item as usize] = true;
         }
     }
 
-    for k_idx in 0..report.len() {
+    for (k_idx, &delta_k) in delta.iter().enumerate() {
         let k_items = report.items(k_idx);
-        let delta_k = delta_of(report, k_items).unwrap_or(f64::NAN);
-        if delta_k.is_nan() {
+        if delta_k.is_nan() || k_items.is_empty() {
             continue;
         }
         // Π_{b ∈ attr(K)} m_b — shared by all items of K.
-        let domain_product = report.schema().domain_product(k_items);
-        let w = weights[k_items.len() - 1] / domain_product;
-        for &alpha in k_items {
-            let j: Vec<ItemId> = k_items.iter().copied().filter(|&i| i != alpha).collect();
-            let delta_j = if j.is_empty() {
-                delta_of(report, &j).unwrap_or(0.0)
-            } else {
-                match delta_of(report, &j) {
-                    Some(d) => d,
-                    None => continue, // only under a max_len cap
-                }
+        let w = weights[k_items.len() - 1] / schema.domain_product(k_items);
+        for (&alpha, sub) in k_items.iter().zip(report.subsets(k_idx)) {
+            let delta_j = match sub {
+                Subset::Empty => 0.0,
+                Subset::Id(j) => delta[j],
+                // Only in a report that is not subset-closed (filtered).
+                Subset::Absent => continue,
             };
             if delta_j.is_nan() {
                 continue;
             }
-            *acc.entry(alpha).or_insert(0.0) += w * (delta_k - delta_j);
+            acc[alpha as usize] += w * (delta_k - delta_j);
+            seen[alpha as usize] = true;
         }
     }
 
-    let mut out: Vec<(ItemId, f64)> = acc.into_iter().collect();
-    out.sort_by_key(|&(item, _)| item);
-    out
+    (0..n_items)
+        .filter(|&item| seen[item])
+        .map(|item| (item as ItemId, acc[item]))
+        .collect()
 }
 
 /// The approximate global divergence `Δ̃ᵍ(I, s)` of an arbitrary frequent
 /// itemset `I` (Definition 4.3 / Eq. 8), by scanning all frequent supersets
 /// `K ⊇ I`.
+///
+/// One lookup of `K ∖ I` per superset, through a reused buffer: a single
+/// target does not pay for the lattice-wide subset index.
 ///
 /// Returns `None` if `I` is empty or not frequent.
 pub fn global_itemset_divergence(
@@ -147,6 +146,7 @@ pub fn global_itemset_divergence(
     // weight(b) = b!(n−b−i)!/n! for |B| = b.
     let weights = itemset_weights(n_attrs, i_len);
 
+    let mut j: Vec<ItemId> = Vec::new();
     let mut total = 0.0;
     for k_idx in 0..report.len() {
         let k_items = report.items(k_idx);
@@ -157,11 +157,8 @@ pub fn global_itemset_divergence(
         if delta_k.is_nan() {
             continue;
         }
-        let j: Vec<ItemId> = k_items
-            .iter()
-            .copied()
-            .filter(|i| !items.contains(i))
-            .collect();
+        j.clear();
+        j.extend(k_items.iter().filter(|i| !items.contains(i)));
         let Some(delta_j) = report.divergence_of(&j, m) else {
             continue;
         };
@@ -377,13 +374,8 @@ mod tests {
             )
             .unwrap();
         let (g1, g2) = (2.0, -0.5);
-        let combined = global_item_divergence_of(&report, |r, items| {
-            if items.is_empty() {
-                return Some(0.0);
-            }
-            let d0 = r.divergence_of(items, 0)?;
-            let d1 = r.divergence_of(items, 1)?;
-            Some(g1 * d0 + g2 * d1)
+        let combined = global_item_divergence_of(&report, |r, idx| {
+            g1 * r.divergence(idx, 0) + g2 * r.divergence(idx, 1)
         });
         let fpr = global_item_divergence(&report, 0);
         let er = global_item_divergence(&report, 1);

@@ -87,12 +87,12 @@ pub fn sublattice(
     subsets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
 
     let mut nodes: Vec<LatticeNode> = Vec::with_capacity(subsets.len());
-    for items in &subsets {
+    for items in subsets {
         let (delta, support, t) = if items.is_empty() {
             (0.0, report.n_rows() as u64, 0.0)
         } else {
             let idx = report
-                .find(items)
+                .find(&items)
                 .ok_or_else(|| LatticeError::NotFrequent(items.clone()))?;
             (
                 report.divergence(idx, m),
@@ -101,7 +101,7 @@ pub fn sublattice(
             )
         };
         nodes.push(LatticeNode {
-            items: items.clone(),
+            items,
             delta,
             support,
             t,

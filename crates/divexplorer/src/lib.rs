@@ -40,8 +40,7 @@
 //! divergence to real-valued statistics, [`fairness`] scores subgroups
 //! against the classic group-fairness criteria, [`compare`] and [`drift`]
 //! contrast two models or two time periods, [`mod@neighborhood`] navigates the
-//! lattice around a pattern, [`query`] filters reports declaratively, and
-//! [`summary`] renders them for humans.
+//! lattice around a pattern, and [`query`] filters reports declaratively.
 //!
 //! # Quickstart
 //!
@@ -86,7 +85,6 @@ pub mod report;
 pub mod schema;
 pub mod shapley;
 pub mod stats;
-pub mod summary;
 
 pub use cache::{ArenaCache, CacheKey};
 pub use compare::{compare_models, disagreement_report, ModelComparison};
@@ -105,7 +103,6 @@ pub use query::PatternQuery;
 pub use report::{DivergenceReport, PatternRef, SortBy};
 pub use schema::{Attribute, Schema};
 pub use stats::{BetaPosterior, SignificanceSink};
-pub use summary::{render_summary, SummaryOptions};
 
 use serde::{Deserialize, Serialize};
 

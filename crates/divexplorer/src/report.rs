@@ -216,6 +216,24 @@ impl DivergenceReport {
         self.store.find(items)
     }
 
+    /// The immediate sub-patterns of pattern `idx`: entry `j` is the
+    /// pattern with its `j`-th item removed, exactly as
+    /// [`DivergenceReport::find`] would return it ([`fpm::Subset::Empty`]
+    /// for single items, [`fpm::Subset::Absent`] where the sub-pattern is
+    /// not stored). Served by the arena's immediate-subset index, built
+    /// once on first use (see DESIGN.md §6l).
+    pub fn subsets(&self, idx: usize) -> impl ExactSizeIterator<Item = fpm::Subset> + '_ {
+        self.store.subsets(idx)
+    }
+
+    /// The divergence of every pattern under metric `m`, by index.
+    pub fn divergences(&self, m: usize) -> Vec<f64> {
+        let overall = self.dataset_rate(m);
+        (0..self.len())
+            .map(|idx| self.rate(idx, m) - overall)
+            .collect()
+    }
+
     /// The dataset-level tallies of metric `m`.
     pub fn dataset_counts(&self, m: usize) -> OutcomeCounts {
         self.dataset_counts.get(m)
@@ -280,6 +298,48 @@ impl DivergenceReport {
     /// Patterns whose divergence is undefined (`NaN`) are excluded from
     /// divergence-based orders.
     pub fn ranked(&self, m: usize, order: SortBy) -> Vec<usize> {
+        let mut keyed = self.keyed(m, order, 0..self.len());
+        keyed.sort_unstable_by(|a, b| self.rank_cmp(a, b));
+        keyed.into_iter().map(|(_, idx)| idx).collect()
+    }
+
+    /// The first `k` patterns of [`DivergenceReport::ranked`].
+    pub fn top_k(&self, m: usize, k: usize, order: SortBy) -> Vec<usize> {
+        self.top_k_among(0..self.len(), m, k, order)
+    }
+
+    /// The first `k` of `idxs` in the order of
+    /// [`DivergenceReport::ranked`] — e.g. the best `k` patterns kept by
+    /// [`crate::pruning::prune_redundant`]. A partial selection plus a
+    /// sort of the `k` winners, so it costs `O(|idxs| + k log k)`
+    /// rather than a full ranking.
+    pub fn top_k_among(
+        &self,
+        idxs: impl IntoIterator<Item = usize>,
+        m: usize,
+        k: usize,
+        order: SortBy,
+    ) -> Vec<usize> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut keyed = self.keyed(m, order, idxs);
+        if k < keyed.len() {
+            keyed.select_nth_unstable_by(k - 1, |a, b| self.rank_cmp(a, b));
+            keyed.truncate(k);
+        }
+        keyed.sort_unstable_by(|a, b| self.rank_cmp(a, b));
+        keyed.into_iter().map(|(_, idx)| idx).collect()
+    }
+
+    /// `(key, idx)` for every pattern of `idxs` whose ranking key is
+    /// defined, each key computed once.
+    fn keyed(
+        &self,
+        m: usize,
+        order: SortBy,
+        idxs: impl IntoIterator<Item = usize>,
+    ) -> Vec<(f64, usize)> {
         let key = |idx: usize| -> f64 {
             match order {
                 SortBy::Divergence => self.divergence(idx, m),
@@ -289,23 +349,22 @@ impl DivergenceReport {
                 SortBy::TStatistic => self.t_statistic(idx, m),
             }
         };
-        let mut idxs: Vec<usize> = (0..self.len()).filter(|&i| !key(i).is_nan()).collect();
-        idxs.sort_by(|&a, &b| {
-            key(b)
-                .partial_cmp(&key(a))
-                .unwrap()
-                // Deterministic tie-break: shorter, then lexicographic.
-                .then_with(|| self.items(a).len().cmp(&self.items(b).len()))
-                .then_with(|| self.items(a).cmp(self.items(b)))
-        });
-        idxs
+        idxs.into_iter()
+            .map(|idx| (key(idx), idx))
+            .filter(|(k, _)| !k.is_nan())
+            .collect()
     }
 
-    /// The first `k` patterns of [`DivergenceReport::ranked`].
-    pub fn top_k(&self, m: usize, k: usize, order: SortBy) -> Vec<usize> {
-        let mut r = self.ranked(m, order);
-        r.truncate(k);
-        r
+    /// The ranking's total order: key descending, then (deterministic
+    /// tie-break) shorter, then lexicographic items, then index.
+    fn rank_cmp(&self, a: &(f64, usize), b: &(f64, usize)) -> std::cmp::Ordering {
+        b.0.partial_cmp(&a.0)
+            .unwrap()
+            .then_with(|| {
+                let (ia, ib) = (self.items(a.1), self.items(b.1));
+                ia.len().cmp(&ib.len()).then_with(|| ia.cmp(ib))
+            })
+            .then_with(|| a.1.cmp(&b.1))
     }
 
     /// Renders an itemset with the schema's display names.

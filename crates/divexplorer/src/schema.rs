@@ -157,11 +157,21 @@ impl Schema {
 
     /// Product of domain cardinalities over the attributes of `items`
     /// (`Π_{b ∈ attr(I)} m_b`), the normalizer of the paper's Eq. 6/8.
+    ///
+    /// `items` must be sorted (canonical): ids are laid out attribute by
+    /// attribute, so their attributes then ascend and each distinct one
+    /// is multiplied in once, in the order of [`Schema::itemset_attributes`].
     pub fn domain_product(&self, items: &[ItemId]) -> f64 {
-        self.itemset_attributes(items)
-            .into_iter()
-            .map(|a| self.cardinality(a) as f64)
-            .product()
+        let mut product = 1.0;
+        let mut previous = None;
+        for &id in items {
+            let a = self.decode(id).attribute as usize;
+            if previous != Some(a) {
+                product *= self.cardinality(a) as f64;
+                previous = Some(a);
+            }
+        }
+        product
     }
 }
 

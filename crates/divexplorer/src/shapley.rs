@@ -11,7 +11,7 @@
 //! looked up in a complete [`DivergenceReport`] — the payoff of the paper's
 //! exhaustive exploration.
 
-use crate::item::{with, without, ItemId};
+use crate::item::{without, ItemId};
 use crate::report::DivergenceReport;
 
 /// Errors from Shapley attribution.
@@ -102,6 +102,8 @@ pub fn item_contributions(
         }
     };
 
+    // J ∪ {α}, rebuilt for each subset in one reused buffer.
+    let mut with_alpha: Vec<ItemId> = Vec::with_capacity(k);
     let mut out = Vec::with_capacity(k);
     for &alpha in items {
         let rest = without(items, alpha);
@@ -111,7 +113,11 @@ pub fn item_contributions(
             if err.is_some() {
                 return;
             }
-            let with_alpha = with(j_subset, alpha);
+            with_alpha.clear();
+            with_alpha.extend_from_slice(j_subset);
+            if let Err(pos) = j_subset.binary_search(&alpha) {
+                with_alpha.insert(pos, alpha);
+            }
             match (delta(&with_alpha), delta(j_subset)) {
                 (Ok(d1), Ok(d0)) => {
                     contribution += weights[j_subset.len()] * (d1 - d0);

@@ -8,6 +8,12 @@
 //! supports `O(1)` id-based access plus an itemset → id hash index that
 //! is built once and shared by every lookup (closed/maximal extraction,
 //! subset queries in the explorer).
+//!
+//! A second lazily built index, the *immediate-subset index*
+//! ([`ItemsetArena::subsets`]), maps every `(itemset, position)` pair to
+//! the id of the itemset with that item removed, so analyses that walk
+//! the lattice's `I → I ∖ {α}` edges read one `u32` per edge instead of
+//! allocating and hashing the sub-itemset.
 
 use std::sync::OnceLock;
 
@@ -45,6 +51,21 @@ pub struct ItemsetArena<P> {
     recs: Vec<Record<P>>,
     /// Lazily built itemset → id index; invalidated by any mutation.
     index: OnceLock<SliceIndex>,
+    /// Lazily built immediate-subset index; invalidated with `index`.
+    subsets: OnceLock<SubsetIndex>,
+}
+
+/// One entry of the immediate-subset index: what
+/// [`ItemsetArena::find`] returns for an itemset with one item removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Subset {
+    /// The removed item was the only one: the sub-itemset is `∅`.
+    Empty,
+    /// The sub-itemset is not stored (possible in arenas that are not
+    /// subset-closed, e.g. filtered or budget-truncated runs).
+    Absent,
+    /// The id of the stored sub-itemset.
+    Id(usize),
 }
 
 impl<P> ItemsetArena<P> {
@@ -53,6 +74,7 @@ impl<P> ItemsetArena<P> {
             items: Vec::new(),
             recs: Vec::new(),
             index: OnceLock::new(),
+            subsets: OnceLock::new(),
         }
     }
 
@@ -62,6 +84,7 @@ impl<P> ItemsetArena<P> {
             items: Vec::with_capacity(n_items),
             recs: Vec::with_capacity(n_itemsets),
             index: OnceLock::new(),
+            subsets: OnceLock::new(),
         }
     }
 
@@ -92,7 +115,7 @@ impl<P> ItemsetArena<P> {
             items.windows(2).all(|w| w[0] < w[1]),
             "items must be canonical"
         );
-        self.index.take();
+        self.invalidate();
         let offset = self.items.len();
         self.items.extend_from_slice(items);
         self.recs.push(Record {
@@ -141,7 +164,7 @@ impl<P> ItemsetArena<P> {
     /// items). Only the records permute; the flat item buffer stays
     /// put. Ids refer to the new order afterwards.
     pub fn sort_canonical(&mut self) {
-        self.index.take();
+        self.invalidate();
         let items = std::mem::take(&mut self.items);
         self.recs.sort_by(|a, b| {
             let ia = &items[a.offset..a.offset + a.len as usize];
@@ -154,7 +177,7 @@ impl<P> ItemsetArena<P> {
     /// Appends every record of `other`, preserving their order. Ids of
     /// `self` are unchanged; `other`'s itemsets get the next ids.
     pub fn absorb(&mut self, other: ItemsetArena<P>) {
-        self.index.take();
+        self.invalidate();
         let shift = self.items.len();
         self.items.extend_from_slice(&other.items);
         self.recs.extend(other.recs.into_iter().map(|mut rec| {
@@ -171,6 +194,31 @@ impl<P> ItemsetArena<P> {
     pub fn find(&self, items: &[ItemId]) -> Option<usize> {
         let index = self.index.get_or_init(|| SliceIndex::build(self));
         index.find(self, items)
+    }
+
+    /// The immediate subsets of itemset `id`: entry `j` is what
+    /// [`Self::find`] returns for `items(id)` with its `j`-th item
+    /// removed — [`Subset::Empty`] for a single item, [`Subset::Absent`]
+    /// where the sub-itemset is not stored.
+    ///
+    /// The first call builds the index for the whole arena (one `u32`
+    /// per stored item); any mutation invalidates it. Analyses that walk every lattice edge use this instead of one
+    /// allocating `find` per edge.
+    pub fn subsets(&self, id: usize) -> impl ExactSizeIterator<Item = Subset> + '_ {
+        let index = self.subsets.get_or_init(|| SubsetIndex::build(self));
+        let rec = &self.recs[id];
+        index.entries[rec.offset..rec.offset + rec.len as usize]
+            .iter()
+            .map(|&e| match e {
+                EMPTY => Subset::Empty,
+                ABSENT => Subset::Absent,
+                id => Subset::Id(id as usize),
+            })
+    }
+
+    fn invalidate(&mut self) {
+        self.index.take();
+        self.subsets.take();
     }
 
     /// Materializes the arena into the seed representation (one `Vec`
@@ -213,14 +261,15 @@ impl<P> ItemsetArena<P> {
     }
 }
 
-// Manual impl: `OnceLock<SliceIndex>` is not `Clone`; the copy starts
-// with an empty index and rebuilds it on its first `find`.
+// Manual impl: the `OnceLock` indexes are not `Clone`; the copy starts
+// with empty indexes and rebuilds them on first use.
 impl<P: Clone> Clone for ItemsetArena<P> {
     fn clone(&self) -> Self {
         ItemsetArena {
             items: self.items.clone(),
             recs: self.recs.clone(),
             index: OnceLock::new(),
+            subsets: OnceLock::new(),
         }
     }
 }
@@ -304,6 +353,197 @@ impl SliceIndex {
             slot = (slot + 1) & self.mask;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Immediate-subset index
+
+/// Entry marker: the sub-itemset is `∅` (the itemset has one item).
+const EMPTY: u32 = u32::MAX;
+/// Entry marker: the sub-itemset is not stored.
+const ABSENT: u32 = u32::MAX - 1;
+
+/// `entries[offset(k) + j]` = id of `items(k)` without its `j`-th item,
+/// laid out parallel to the arena's flat item buffer (which holds each
+/// record's items exactly once), so the index costs 4 bytes per stored
+/// item and needs no offset table of its own.
+#[derive(Debug)]
+struct SubsetIndex {
+    entries: Vec<u32>,
+}
+
+/// The trie-style child map of [`SubsetIndex::build`]: (id of a prefix,
+/// appended item) → id, open addressing with Fibonacci hashing (the
+/// high bits of one multiply, so both halves of the key spread; Fx's
+/// low bits would depend on the item alone).
+struct ChildMap {
+    keys: Vec<u64>,
+    ids: Vec<u32>,
+    shift: u32,
+}
+
+impl ChildMap {
+    /// Marks a free slot (no real key has an all-ones item half).
+    const FREE: u64 = u64::MAX;
+
+    fn with_capacity(n: usize) -> Self {
+        let capacity = (n * 2).next_power_of_two().max(8);
+        ChildMap {
+            keys: vec![Self::FREE; capacity],
+            ids: vec![0; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+        }
+    }
+
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        while self.keys[slot] != key && self.keys[slot] != Self::FREE {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Maps (`prefix`, `item`) to `id`, replacing an earlier mapping.
+    fn insert(&mut self, prefix: u32, item: ItemId, id: u32) {
+        let key = (u64::from(prefix) << 32) | u64::from(item);
+        let slot = self.slot(key);
+        self.keys[slot] = key;
+        self.ids[slot] = id;
+    }
+
+    fn get(&self, prefix: u32, item: ItemId) -> Option<u32> {
+        let key = (u64::from(prefix) << 32) | u64::from(item);
+        let slot = self.slot(key);
+        (self.keys[slot] == key).then(|| self.ids[slot])
+    }
+}
+
+impl SubsetIndex {
+    /// One level-ordered pass. Every itemset `K = P ∪ {last}` of length
+    /// ≥ 2 is keyed in a child map under (id of its prefix `P`, `last`).
+    /// Then `K ∖ {K[j]}` for `j < |K| − 1` is the child of
+    /// `P ∖ {K[j]}` — an entry of `P`, computed one level earlier —
+    /// under the same `last`, and `K ∖ {last}` is `P` itself. Where a
+    /// prefix is not stored (arenas that are not subset-closed) the
+    /// entry falls back to [`ItemsetArena::find`] on a reused buffer.
+    fn build<P>(arena: &ItemsetArena<P>) -> Self {
+        let _span = obs::span("fpm.subset_index");
+        let n = arena.len();
+        assert!(n < ABSENT as usize, "arena too large for u32 subset ids");
+        let mut entries = vec![ABSENT; arena.items.len()];
+
+        // Ids ordered by (length, id): a counting sort on length.
+        // `levels[l]..levels[l + 1]` is the range of length-`l` ids in
+        // `order`. The offsets are copied out of the (payload-sized)
+        // records once, so the level-ordered pass reads a dense array.
+        let max_len = arena.recs.iter().map(|r| r.len as usize).max().unwrap_or(0);
+        let mut levels = vec![0usize; max_len + 2];
+        for rec in &arena.recs {
+            levels[rec.len as usize + 1] += 1;
+        }
+        for l in 1..levels.len() {
+            levels[l] += levels[l - 1];
+        }
+        let mut next = levels.clone();
+        let mut order = vec![0u32; n];
+        for (id, rec) in arena.recs.iter().enumerate() {
+            let slot = &mut next[rec.len as usize];
+            order[*slot] = id as u32;
+            *slot += 1;
+        }
+        let offsets: Vec<usize> = arena.recs.iter().map(|r| r.offset).collect();
+
+        // Later duplicates overwrite earlier ones, so every lookup lands
+        // on the id `find` returns (the last stored copy).
+        let mut child = ChildMap::with_capacity(n);
+        let mut scratch: Vec<ItemId> = Vec::new();
+        let mut fallbacks = 0u64;
+        // The prefix walk of the previous itemset: `walk_ids[i]` is the
+        // id of `walk_items[..=i]`, reused across itemsets sharing a
+        // prefix.
+        let mut walk_items: Vec<ItemId> = Vec::new();
+        let mut walk_ids: Vec<u32> = Vec::new();
+
+        // Empty itemsets (level 0) have no entries.
+        for (len, level) in levels.windows(2).enumerate().skip(1) {
+            for &id in &order[level[0]..level[1]] {
+                let out = offsets[id as usize];
+                let items = &arena.items[out..out + len];
+                if len == 1 {
+                    entries[out] = EMPTY;
+                    child.insert(EMPTY, items[0], id);
+                    continue;
+                }
+                let last = items[len - 1];
+                let prefix = &items[..len - 1];
+
+                // The prefix id, walking the child map from the shared part
+                // of the previous walk.
+                let shared = walk_items
+                    .iter()
+                    .zip(prefix)
+                    .take_while(|(a, b)| a == b)
+                    .count();
+                walk_items.truncate(shared);
+                walk_ids.truncate(shared);
+                let mut node = walk_ids.last().copied().unwrap_or(EMPTY);
+                for &item in &prefix[shared..] {
+                    node = match child.get(node, item) {
+                        Some(next) => next,
+                        None => break,
+                    };
+                    walk_items.push(item);
+                    walk_ids.push(node);
+                }
+                let parent = if walk_ids.len() == prefix.len() {
+                    Some(node)
+                } else {
+                    fallbacks += 1;
+                    arena.find(prefix).map(|p| p as u32)
+                };
+
+                match parent {
+                    Some(parent) => {
+                        child.insert(parent, last, id);
+                        entries[out + len - 1] = parent;
+                        let p_off = offsets[parent as usize];
+                        for j in 0..len - 1 {
+                            entries[out + j] = match entries[p_off + j] {
+                                ABSENT => {
+                                    fallbacks += 1;
+                                    find_without(arena, items, j, &mut scratch)
+                                }
+                                base => child.get(base, last).unwrap_or(ABSENT),
+                            };
+                        }
+                    }
+                    None => {
+                        fallbacks += len as u64 - 1;
+                        for j in 0..len - 1 {
+                            entries[out + j] = find_without(arena, items, j, &mut scratch);
+                        }
+                    }
+                }
+            }
+        }
+        obs::counter("fpm.subset_index.edges", entries.len() as u64);
+        obs::counter("fpm.subset_index.fallbacks", fallbacks);
+        SubsetIndex { entries }
+    }
+}
+
+/// `find(items ∖ {items[j]})` through a reused buffer.
+fn find_without<P>(
+    arena: &ItemsetArena<P>,
+    items: &[ItemId],
+    j: usize,
+    scratch: &mut Vec<ItemId>,
+) -> u32 {
+    scratch.clear();
+    scratch.extend_from_slice(&items[..j]);
+    scratch.extend_from_slice(&items[j + 1..]);
+    arena.find(scratch).map_or(ABSENT, |id| id as u32)
 }
 
 #[cfg(test)]

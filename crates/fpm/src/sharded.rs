@@ -104,8 +104,14 @@ pub struct ShardStats {
     /// Time counting threads spent acquiring shards during phase 2
     /// (µs, summed across workers): inline materialize time when
     /// self-loading, blocked queue-pop time under prefetch. Low values
-    /// mean IO was hidden behind compute.
+    /// mean IO was hidden behind compute. Each worker waits at most the
+    /// phase's wall clock, so `io_wait_us ≤ recount_workers ×
+    /// recount_us`.
     pub io_wait_us: u64,
+    /// Counting threads of the recount pass (`1` when sequential, `0`
+    /// when no recount ran): the number of wall clocks `io_wait_us` is
+    /// summed over.
+    pub recount_workers: usize,
     /// Decoded (resident CSR + payload) bytes streamed through phase 2.
     pub streamed_bytes: u64,
     /// Encoded bytes read from the backing store during phase 2, summed
@@ -119,14 +125,15 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Fraction of the recount phase *not* stalled on shard IO:
-    /// `1 − io_wait_us / recount_us`, clamped to `[0, 1]`. `1.0` when
-    /// no recount ran.
+    /// Fraction of the recount workers' time *not* stalled on shard IO:
+    /// `1 − io_wait_us / (recount_workers × recount_us)`, clamped to
+    /// `[0, 1]`. `1.0` when no recount ran.
     pub fn overlap_ratio(&self) -> f64 {
-        if self.recount_us == 0 {
+        let worker_us = self.recount_workers as u64 * self.recount_us;
+        if worker_us == 0 {
             return 1.0;
         }
-        (1.0 - self.io_wait_us as f64 / self.recount_us as f64).clamp(0.0, 1.0)
+        (1.0 - self.io_wait_us as f64 / worker_us as f64).clamp(0.0, 1.0)
     }
 
     /// How much smaller the encoded shards are than their decoded CSR
@@ -698,6 +705,7 @@ impl<P: Payload> MergeState<P> {
 #[derive(Default)]
 struct RecountPassStats {
     rows: u64,
+    workers: usize,
     io_wait_us: u64,
     streamed_bytes: u64,
     compressed_bytes: u64,
@@ -780,7 +788,10 @@ where
 {
     let n_shards = source.n_shards();
     let n_workers = n_threads.min(n_shards).max(1);
-    let mut pass = RecountPassStats::default();
+    let mut pass = RecountPassStats {
+        workers: n_workers,
+        ..RecountPassStats::default()
+    };
 
     if n_workers == 1 && prefetch == 0 {
         // Sequential fast path: merge in place, no partials.
@@ -1126,6 +1137,7 @@ where
             recount_pass(source, &candidates, n_threads, prefetch, shared, &resident);
         stats.recount_rows = pass.rows;
         stats.io_wait_us = pass.io_wait_us;
+        stats.recount_workers = pass.workers;
         stats.streamed_bytes = pass.streamed_bytes;
         stats.compressed_bytes = pass.compressed_bytes;
         obs::counter("fpm.sharded.recount_rows", stats.recount_rows);
@@ -1229,6 +1241,7 @@ where
         recount_pass(source, candidates, n_threads, prefetch, shared, &resident);
     stats.recount_rows = pass.rows;
     stats.io_wait_us = pass.io_wait_us;
+    stats.recount_workers = pass.workers;
     stats.streamed_bytes = pass.streamed_bytes;
     stats.compressed_bytes = pass.compressed_bytes;
     obs::counter("fpm.sharded.recount_rows", stats.recount_rows);
@@ -1675,10 +1688,86 @@ mod tests {
             stats.peak_shard_bytes,
             one_shard
         );
-        assert!(stats.io_wait_us <= stats.recount_us + stats.mine_us + 1_000_000);
+        // Each counting thread waits at most the recount's wall clock.
+        assert_eq!(stats.recount_workers, 4);
+        assert!(stats.io_wait_us <= stats.recount_workers as u64 * stats.recount_us);
         let ratio = stats.overlap_ratio();
         assert!((0.0..=1.0).contains(&ratio), "overlap_ratio {ratio}");
         assert_eq!(stats.compression_ratio(), None);
+    }
+
+    /// An in-memory source whose shard 0 takes `delay` to materialize.
+    struct SlowFirstShard<'a> {
+        inner: MemShardSource<'a, CountPayload>,
+        delay: std::time::Duration,
+    }
+
+    impl ShardSource<CountPayload> for SlowFirstShard<'_> {
+        fn n_shards(&self) -> usize {
+            self.inner.n_shards()
+        }
+
+        fn n_rows(&self) -> usize {
+            self.inner.n_rows()
+        }
+
+        fn open(&self, k: usize) -> Box<dyn ShardHandle<CountPayload> + '_> {
+            handle_from_fn(move || {
+                if k == 0 {
+                    std::thread::sleep(self.delay);
+                }
+                self.inner.open(k).materialize()
+            })
+        }
+    }
+
+    #[test]
+    fn overlap_ratio_normalizes_io_wait_by_worker_time() {
+        // Four self-loading workers over four shards; only shard 0 is slow.
+        // One worker waits ~the whole recount on IO while three finish at
+        // once, so 1/4 of the worker time is stalled: overlap ≈ 0.75.
+        // Dividing the summed wait by the single wall clock instead gives
+        // ≈ 0 — the unit bug this pins.
+        let db = db();
+        let payloads = payloads(db.len());
+        let source = SlowFirstShard {
+            inner: MemShardSource::new(&db, &payloads, 4),
+            delay: std::time::Duration::from_millis(60),
+        };
+        let mut candidates = ItemsetArena::new();
+        for item in 0..7 {
+            candidates.push(&[item], 0, ());
+        }
+        let mut sink = VecSink::new();
+        let (completeness, stats) = recount_into_bounded(
+            &source,
+            &candidates,
+            1,
+            4,
+            0,
+            &Budget::unlimited(),
+            None,
+            &mut sink,
+        );
+        assert!(completeness.is_complete());
+        assert_eq!(stats.recount_workers, 4);
+        assert!(stats.io_wait_us >= 60_000, "io wait {}", stats.io_wait_us);
+        assert!(stats.io_wait_us <= stats.recount_workers as u64 * stats.recount_us);
+        let ratio = stats.overlap_ratio();
+        assert!(ratio > 0.5, "overlap_ratio {ratio} ({stats:?})");
+    }
+
+    #[test]
+    fn overlap_ratio_is_one_without_a_recount() {
+        let stats = ShardStats::default();
+        assert_eq!(stats.overlap_ratio(), 1.0);
+        let stats = ShardStats {
+            recount_workers: 2,
+            recount_us: 1_000,
+            io_wait_us: 500,
+            ..ShardStats::default()
+        };
+        assert_eq!(stats.overlap_ratio(), 0.75);
     }
 
     #[test]
