@@ -270,9 +270,9 @@ OPTIONS:
   --trace-json FILE  stream telemetry (spans, counters, histograms) to FILE
                      as newline-delimited JSON
   --stats            print an aggregated telemetry summary to stderr
-  --engine NAME      mining engine: apriori, fp-growth, eclat, eclat-bitset,
-                     dense (class-mask popcount counting), or sharded
-                     (two-pass partitioned mining) [fp-growth]
+  --engine NAME      mining engine: fp-growth, dense (class-mask popcount
+                     counting), or sharded (two-pass partitioned mining)
+                     [fp-growth]
   --shards N         split the data into N row shards and mine through the
                      sharded two-pass engine; results are bit-identical to
                      a one-pass run but peak mining memory is roughly one
@@ -467,15 +467,11 @@ fn parse_format(s: &str) -> Result<IndexFormat, CliError> {
 
 pub(crate) fn parse_engine(s: &str) -> Result<fpm::Algorithm, CliError> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "apriori" => Ok(fpm::Algorithm::Apriori),
         "fp-growth" => Ok(fpm::Algorithm::FpGrowth),
-        "eclat" => Ok(fpm::Algorithm::Eclat),
-        "eclat-bitset" => Ok(fpm::Algorithm::EclatBitset),
         "dense" => Ok(fpm::Algorithm::Dense),
         "sharded" => Ok(fpm::Algorithm::Sharded),
         other => Err(CliError::Usage(format!(
-            "unknown engine '{other}' (expected apriori, fp-growth, eclat, \
-             eclat-bitset, dense, or sharded)"
+            "unknown engine '{other}' (expected fp-growth, dense, or sharded)"
         ))),
     }
 }
@@ -1107,22 +1103,25 @@ b,y,0,1
         let args = Args::parse(base_args("explore")).unwrap();
         assert_eq!(args.engine, fpm::Algorithm::FpGrowth);
 
-        for (name, algo) in [
-            ("apriori", fpm::Algorithm::Apriori),
-            ("fp-growth", fpm::Algorithm::FpGrowth),
-            ("eclat", fpm::Algorithm::Eclat),
-            ("eclat-bitset", fpm::Algorithm::EclatBitset),
-            ("dense", fpm::Algorithm::Dense),
-            ("sharded", fpm::Algorithm::Sharded),
-        ] {
+        for algo in fpm::Algorithm::ALL {
             let mut argv = base_args("explore");
-            argv.extend(["--engine".to_string(), name.to_string()]);
-            assert_eq!(Args::parse(argv).unwrap().engine, algo, "{name}");
+            argv.extend(["--engine".to_string(), algo.to_string()]);
+            assert_eq!(Args::parse(argv).unwrap().engine, algo, "{algo}");
         }
 
-        let mut argv = base_args("explore");
-        argv.extend(["--engine".to_string(), "quantum".to_string()]);
-        assert!(matches!(Args::parse(argv), Err(CliError::Usage(_))));
+        // Unknown names, and the names of removed engines, are usage
+        // errors that list the valid engines.
+        for name in ["quantum", "apriori", "eclat", "eclat-bitset", "naive"] {
+            let mut argv = base_args("explore");
+            argv.extend(["--engine".to_string(), name.to_string()]);
+            match Args::parse(argv) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains(&format!("unknown engine '{name}'")), "{msg}");
+                    assert!(msg.contains("fp-growth, dense, or sharded"), "{msg}");
+                }
+                other => panic!("{name}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1133,7 +1132,7 @@ b,y,0,1
             run_with_content(&args, CSV, &mut out).unwrap();
             out
         };
-        for name in ["apriori", "eclat", "eclat-bitset", "dense", "sharded"] {
+        for name in ["dense", "sharded"] {
             let mut argv = base_args("explore");
             argv.extend(["--engine".to_string(), name.to_string()]);
             let args = Args::parse(argv).unwrap();
@@ -1141,6 +1140,55 @@ b,y,0,1
             run_with_content(&args, CSV, &mut out).unwrap();
             assert_eq!(out, reference, "engine {name}");
         }
+
+        // `serve` ranks the same lattice under every engine, and a
+        // removed engine's name gets exactly one soft failure that
+        // leaves the session's datasets and cache as they were.
+        let dir = std::env::temp_dir().join(format!("cli-engines-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv_path = dir.join("toy.csv");
+        std::fs::write(&csv_path, CSV).unwrap();
+        let query = |engine: &str| {
+            format!(r#"{{"op":"query","name":"toy","support":0.25,"top":3,"engine":"{engine}"}}"#)
+        };
+        let mut requests = vec![format!(
+            r#"{{"op":"register","name":"toy","path":"{}","label":"y","pred":"yhat"}}"#,
+            csv_path.display()
+        )];
+        requests.extend(fpm::Algorithm::ALL.map(|algo| query(&algo.to_string())));
+        requests.extend(["eclat", "apriori", "eclat-bitset"].map(query));
+        requests.push(r#"{"op":"stats"}"#.to_string());
+        let mut out = Vec::new();
+        serve::serve_loop(
+            &Args::parse(vec!["serve".to_string()]).unwrap(),
+            requests.join("\n").as_bytes(),
+            &mut out,
+        )
+        .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let replies: Vec<serde_json::Value> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        assert_eq!(replies.len(), requests.len(), "{replies:?}");
+        let ranked = &replies[1..4];
+        for r in ranked {
+            assert_eq!(r["ok"].as_bool(), Some(true), "{r:?}");
+            assert_eq!(r["results"], ranked[0]["results"], "{r:?}");
+        }
+        for r in &replies[4..7] {
+            assert_eq!(r["ok"].as_bool(), Some(false), "{r:?}");
+            let error = r["error"].as_str().unwrap();
+            assert!(
+                error.contains("expected fp-growth, dense, or sharded"),
+                "{error}"
+            );
+        }
+        let stats = &replies[7];
+        assert_eq!(stats["datasets"].as_u64(), Some(1), "{stats:?}");
+        assert_eq!(stats["cached_lattices"].as_u64(), Some(3), "{stats:?}");
+        assert_eq!(stats["failures"].as_u64(), Some(3), "{stats:?}");
     }
 
     #[test]

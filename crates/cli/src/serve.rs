@@ -26,8 +26,9 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Every response carries `"ok": true|false`; a malformed line or an
-//! unknown op yields `{"ok":false,"error":...}` and the loop continues.
+//! Every response carries `"ok": true|false`; a malformed line (broken
+//! JSON, bytes that are not UTF-8) or an unknown op yields
+//! `{"ok":false,"error":...}` and the loop continues.
 //! Only `shutdown` (or end of input) ends the loop.
 //!
 //! # Fault model (see DESIGN.md §6h)
@@ -254,7 +255,7 @@ pub fn serve_loop<R: BufRead, W: Write>(args: &Args, input: R, out: W) -> Result
 /// capture the slow/panic/timeout trace dumps in-process.
 pub fn serve_loop_with_diag<R: BufRead, W: Write>(
     args: &Args,
-    input: R,
+    mut input: R,
     mut out: W,
     diag: &mut dyn Write,
 ) -> Result<(), CliError> {
@@ -268,16 +269,29 @@ pub fn serve_loop_with_diag<R: BufRead, W: Write>(
     };
     let mut metrics_sink = MetricsSink::new(args);
     let mut next_request_id: u64 = 1;
-    for line in input.lines() {
-        let line = line.map_err(|e| CliError::Input(format!("request stream: {e}")))?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let n = input
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| CliError::Input(format!("request stream: {e}")))?;
+        if n == 0 {
+            break;
         }
+        let raw = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+        // A line that is not UTF-8 is a bad request like any other, not
+        // the end of the stream.
+        let line = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Ok(line),
+            Err(e) => Err(format!("bad request: not UTF-8 ({e})")),
+        };
         let req_id = next_request_id;
         next_request_id += 1;
         obs::counter("serve.requests", 1);
-        let parsed: Result<Value, String> =
-            serde_json::from_str(&line).map_err(|e| format!("bad request: {e}"));
+        let parsed: Result<Value, String> = line
+            .and_then(|line| serde_json::from_str(line).map_err(|e| format!("bad request: {e}")));
         let op = op_label(&parsed);
         let timeouts_before = plane.counter_value("serve.timeouts");
         let started = Instant::now();
@@ -771,6 +785,9 @@ fn ensure_lattice(
     let support = support_field(request, args)?;
     let knobs = scale_knobs(request, args)?;
     let engine = str_field(request, "engine").unwrap_or_else(|| engine_label(args));
+    // Validate before any lookup, so an unknown engine name can neither
+    // hit a cache entry nor load (or quarantine) a registry file.
+    let algorithm = parse_engine(&engine).map_err(|e| fail(e.to_string()))?;
     let reg = state
         .datasets
         .get(name)
@@ -816,7 +833,6 @@ fn ensure_lattice(
         }
     }
     let reg = &state.datasets[name];
-    let algorithm = parse_engine(&engine).map_err(|e| fail(e.to_string()))?;
     // The scale knobs steer *how* the lattice is mined, never what it
     // contains — sharded/parallel/prefetched runs are bit-identical —
     // so they are deliberately absent from the cache and artifact keys.
@@ -1694,5 +1710,213 @@ a,y,1,0
         assert!(v["b"][0].is_null());
         assert_eq!(v["b"][1].as_f64(), Some(1.5));
         assert!(v["b"][2]["c"].is_null());
+    }
+
+    // -----------------------------------------------------------------
+    // Request fuzzing: generated lines are arbitrary bytes, truncated
+    // JSON, or request objects whose fields are drawn from valid,
+    // mistyped and out-of-range values.
+
+    use proptest::prelude::*;
+
+    const OPS: [&str; 10] = [
+        "register", "mine", "query", "query", "query", "stats", "metrics", "trace", "shutdown",
+        "launch",
+    ];
+
+    /// A request field: `(key, valid values, invalid values)`, where
+    /// `None` leaves the field out.
+    type Field = (
+        &'static str,
+        &'static [Option<&'static str>],
+        &'static [Option<&'static str>],
+    );
+
+    const FIELDS: [Field; 5] = [
+        (
+            "name",
+            &[Some(r#""toy""#)],
+            &[Some(r#""ghost""#), Some("7"), None],
+        ),
+        (
+            "support",
+            &[None, Some("0.25"), Some("0.5"), Some("1")],
+            &[Some("0"), Some("-1"), Some(r#""0.25""#), Some("1e308")],
+        ),
+        (
+            "u",
+            &[None, Some("[1,1,1,1,1,1,1,1]"), Some("[0,1,0,1,0,1,0,1]")],
+            &[Some("[1,0]"), Some(r#""u""#), Some("[2,2,2,2,2,2,2,2]")],
+        ),
+        (
+            "top",
+            &[None, Some("0"), Some("3")],
+            &[Some("-1"), Some(r#""3""#), Some("2.5")],
+        ),
+        (
+            "engine",
+            &[
+                None,
+                Some(r#""fp-growth""#),
+                Some(r#""dense""#),
+                Some(r#""sharded""#),
+            ],
+            &[
+                Some(r#""eclat""#),
+                Some(r#""apriori""#),
+                Some(r#""eclat-bitset""#),
+                Some(r#""""#),
+            ],
+        ),
+    ];
+
+    /// One generated request line (no newline inside). Each field is
+    /// valid with probability 5/8, so whole requests succeed often
+    /// enough to fill the cache and registry that failures must spare.
+    fn request_line() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0u8..5,
+            prop::collection::vec(any::<u8>(), 0..48),
+            prop::collection::vec(0u8..16, FIELDS.len() + 2),
+        )
+            .prop_map(|(kind, bytes, picks)| {
+                let mut fields = vec![format!(r#""op":"{}""#, OPS[picks[0] as usize % OPS.len()])];
+                for ((key, valid, invalid), &p) in FIELDS.iter().zip(&picks[1..]) {
+                    let p = p as usize;
+                    let pool = if p < 10 { valid } else { invalid };
+                    if let Some(value) = pool[p % pool.len()] {
+                        fields.push(format!(r#""{key}":{value}"#));
+                    }
+                }
+                let object = format!("{{{}}}", fields.join(","));
+                let mut line = match kind {
+                    0 => bytes,
+                    1 => object.as_bytes()[..picks[FIELDS.len() + 1] as usize % object.len()]
+                        .to_vec(),
+                    _ => object.into_bytes(),
+                };
+                for b in &mut line {
+                    if *b == b'\n' {
+                        *b = b' ';
+                    }
+                }
+                line
+            })
+    }
+
+    /// The toy dataset registered and mined, then the generated lines.
+    fn fuzz_session(csv_path: &std::path::Path, lines: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let mut session = vec![
+            register_line(csv_path).into_bytes(),
+            br#"{"op":"mine","name":"toy","support":0.25}"#.to_vec(),
+        ];
+        session.extend(lines.iter().cloned());
+        session
+    }
+
+    /// What a failed request must not touch: the registered datasets,
+    /// the lattice cache and the on-disk registry.
+    fn observable_state(state: &ServeState) -> impl PartialEq + std::fmt::Debug {
+        let mut datasets: Vec<(String, u64, usize)> = state
+            .datasets
+            .iter()
+            .map(|(name, reg)| (name.clone(), reg.hash, reg.data.n_rows()))
+            .collect();
+        datasets.sort();
+        let mut registry: Vec<(std::ffi::OsString, Vec<u8>)> = state
+            .dir
+            .iter()
+            .flat_map(|dir| std::fs::read_dir(dir).into_iter().flatten())
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name(), std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        registry.sort();
+        (
+            datasets,
+            state.cache.len(),
+            state.cache.resident_bytes(),
+            registry,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every non-blank line gets exactly one `{"ok":…}` reply, and
+        /// the loop stops early only on a successful `shutdown`.
+        #[test]
+        fn every_fuzzed_line_gets_one_reply_until_shutdown_or_eof(
+            lines in prop::collection::vec(request_line(), 1..12),
+        ) {
+            let dir = temp_dir("fuzz-loop");
+            let csv_path = dir.join("toy.csv");
+            std::fs::write(&csv_path, CSV).unwrap();
+            let session = fuzz_session(&csv_path, &lines);
+            let mut out = Vec::new();
+            let mut diag = Vec::new();
+            let input = session.join(&b'\n');
+            let ended = serve_loop_with_diag(&serve_args(""), input.as_slice(), &mut out, &mut diag);
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert!(ended.is_ok(), "loop failed: {:?}", ended);
+            let replies: Vec<Value> = String::from_utf8(out)
+                .unwrap()
+                .lines()
+                .map(|line| serde_json::from_str(line).unwrap())
+                .collect();
+            for r in &replies {
+                prop_assert!(r["ok"].as_bool().is_some(), "reply without ok: {:?}", r);
+            }
+            let answered: Vec<&Vec<u8>> = session
+                .iter()
+                .filter(|l| std::str::from_utf8(l).map_or(true, |s| !s.trim().is_empty()))
+                .collect();
+            let shutdown = replies
+                .iter()
+                .position(|r| r["op"].as_str() == Some("shutdown") && r["ok"].as_bool() == Some(true));
+            match shutdown {
+                Some(at) => prop_assert_eq!(at + 1, replies.len(), "replies after shutdown"),
+                None => prop_assert_eq!(replies.len(), answered.len(), "one reply per line"),
+            }
+        }
+
+        /// A request that fails leaves the registered datasets, the cache
+        /// and the on-disk registry exactly as they were.
+        #[test]
+        fn a_failed_fuzzed_request_changes_no_state(
+            lines in prop::collection::vec(request_line(), 1..12),
+        ) {
+            let dir = temp_dir("fuzz-state");
+            let csv_path = dir.join("toy.csv");
+            std::fs::write(&csv_path, CSV).unwrap();
+            let registry = dir.join("artifacts");
+            let args = serve_args(registry.to_str().unwrap());
+            let plane = Arc::new(LiveRecorder::default());
+            let _obs = ObsSession::install(Arc::clone(&plane));
+            let mut state = ServeState {
+                dir: Some(registry.clone()),
+                datasets: HashMap::new(),
+                cache: ArenaCache::new(DEFAULT_CACHE_BYTES),
+                plane,
+            };
+            for line in fuzz_session(&csv_path, &lines) {
+                let parsed = std::str::from_utf8(&line)
+                    .map_err(|e| e.to_string())
+                    .and_then(|l| serde_json::from_str(l).map_err(|e| e.to_string()));
+                let before = observable_state(&state);
+                let (reply, _) = handle_request(&mut state, &args, &parsed);
+                if reply["ok"].as_bool() == Some(false) {
+                    prop_assert_eq!(
+                        observable_state(&state),
+                        before,
+                        "failed request {:?} changed state: {:?}",
+                        String::from_utf8_lossy(&line),
+                        reply
+                    );
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

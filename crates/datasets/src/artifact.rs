@@ -1247,7 +1247,7 @@ mod tests {
             dataset_hash: 7,
             min_support_count: 2,
             max_len: None,
-            engine: "eclat".to_string(),
+            engine: "fp-growth".to_string(),
             n_rows: 8,
         };
         let mut bytes = encode_arena(&key, &arena);

@@ -109,8 +109,9 @@ impl DivExplorer {
         }
     }
 
-    /// Selects the mining backend (Apriori, FP-growth or Eclat — all produce
-    /// identical reports).
+    /// Selects the mining engine: FP-growth (the default, the paper's
+    /// Alg. 1), Dense or Sharded, or the Naive oracle. All produce
+    /// identical reports.
     pub fn with_algorithm(mut self, algorithm: fpm::Algorithm) -> Self {
         self.algorithm = algorithm;
         self

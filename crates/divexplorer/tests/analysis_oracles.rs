@@ -529,7 +529,7 @@ fn random_input() -> impl Strategy<Value = (DiscreteDataset, Vec<bool>, Vec<bool
 const ENGINES: [fpm::Algorithm; 3] = [
     fpm::Algorithm::FpGrowth,
     fpm::Algorithm::Dense,
-    fpm::Algorithm::Eclat,
+    fpm::Algorithm::Sharded,
 ];
 
 /// One report per kind — complete, capped at `max_len`, filtered at

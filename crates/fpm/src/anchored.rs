@@ -184,14 +184,14 @@ mod tests {
         let db = db();
         let params = MiningParams::with_min_support_count(1);
         let mut sink = VecSink::new();
-        mine_containing_into(Algorithm::Eclat, &db, &[(); 5], &params, 2, &mut sink);
+        mine_containing_into(Algorithm::Dense, &db, &[(); 5], &params, 2, &mut sink);
         assert!(!sink.found.is_empty());
         assert!(sink.found.iter().all(|fi| fi.items.contains(&2)));
         assert!(sink
             .found
             .iter()
             .all(|fi| fi.items.windows(2).all(|w| w[0] < w[1])));
-        let expected = mine_containing(Algorithm::Eclat, &db, &[(); 5], &params, 2);
+        let expected = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 2);
         let mut got = sink.found;
         sort_canonical(&mut got);
         let mut want = expected;
@@ -203,7 +203,7 @@ mod tests {
     fn infrequent_anchor_yields_nothing() {
         let db = db();
         let params = MiningParams::with_min_support_count(4);
-        let found = mine_containing(Algorithm::Eclat, &db, &[(); 5], &params, 3);
+        let found = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 3);
         assert!(found.is_empty());
     }
 
@@ -211,12 +211,12 @@ mod tests {
     fn max_len_counts_the_anchor() {
         let db = db();
         let params = MiningParams::with_min_support_count(1).max_len(2);
-        let found = mine_containing(Algorithm::Apriori, &db, &[(); 5], &params, 0);
+        let found = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 0);
         assert!(found.iter().all(|fi| fi.items.len() <= 2));
         assert!(found.iter().all(|fi| fi.items.contains(&0)));
         // With max_len 1, only the anchor itself.
         let params = MiningParams::with_min_support_count(1).max_len(1);
-        let found = mine_containing(Algorithm::Apriori, &db, &[(); 5], &params, 0);
+        let found = mine_containing(Algorithm::Dense, &db, &[(); 5], &params, 0);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].items, vec![0]);
     }

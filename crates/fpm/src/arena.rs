@@ -6,8 +6,8 @@
 //! per-itemset heap allocation (the seed's dominant allocation hot
 //! path), keeps items contiguous for cache-friendly iteration, and
 //! supports `O(1)` id-based access plus an itemset → id hash index that
-//! is built once and shared by every lookup (closed/maximal extraction,
-//! subset queries in the explorer).
+//! is built once and shared by every lookup (subset queries in the
+//! explorer).
 //!
 //! A second lazily built index, the *immediate-subset index*
 //! ([`ItemsetArena::subsets`]), maps every `(itemset, position)` pair to
@@ -139,11 +139,6 @@ impl<P> ItemsetArena<P> {
 
     pub fn payload(&self, id: usize) -> &P {
         &self.recs[id].payload
-    }
-
-    /// Replaces the payload of itemset `id`, returning the old one.
-    pub fn set_payload(&mut self, id: usize, payload: P) -> P {
-        std::mem::replace(&mut self.recs[id].payload, payload)
     }
 
     pub fn entry(&self, id: usize) -> ArenaEntry<'_, P> {
@@ -325,9 +320,7 @@ impl SliceIndex {
                     return;
                 }
                 occupied => {
-                    // Duplicates keep the first id, matching the seed's
-                    // index_by_itemset insert-wins-last... the seed used
-                    // HashMap::insert (last wins); keep last for parity.
+                    // A duplicate itemset resolves to its last copy.
                     if arena.items((occupied - 1) as usize) == items {
                         self.slots[slot] = (id + 1) as u32;
                         return;
@@ -625,7 +618,7 @@ mod tests {
         let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(1 << t)).collect();
         let found = crate::MiningTask::with_params(&db, params.clone())
             .payloads(&payloads)
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run()
             .into_itemsets();
         let arena = ItemsetArena::from_itemsets(&found);

@@ -21,16 +21,15 @@
 //! # Enforcement model
 //!
 //! Emission-side enforcement alone is not enough. Depth-first miners
-//! (Eclat, bitset Eclat, FP-growth, the naive oracle) consult
-//! `wants_extensions` after every emission, so a `false` from an exhausted
-//! `BudgetSink` prunes every subtree immediately. The level-wise
-//! ([`crate::apriori`]) and merged-parallel ([`crate::parallel`]) miners
-//! apply `wants_extensions` only where their traversal order allows —
-//! between levels, or not at all — and can spend unbounded time inside a
-//! single counting pass or worker subtree. They therefore poll
-//! [`ItemsetSink::should_stop`] at periodic checkpoints (per level, every
-//! N transactions, per subtree node), which re-checks the deadline and the
-//! cancel token even when no emission has happened for a while.
+//! (FP-growth, Dense, Eclat, the naive oracle) consult `wants_extensions`
+//! after every emission, so a `false` from an exhausted `BudgetSink`
+//! prunes every subtree immediately. The merged-parallel
+//! ([`crate::parallel`]) and [`crate::sharded`] engines cannot apply
+//! `wants_extensions` in their traversal order and can spend unbounded
+//! time inside a worker subtree or a shard pass. They therefore poll
+//! [`ItemsetSink::should_stop`] at periodic checkpoints (per subtree
+//! node, per shard), which re-checks the deadline and the cancel token
+//! even when no emission has happened for a while.
 //!
 //! A truncated run's output is always a subset of the unbudgeted run's
 //! output with identical supports and payloads, and for the deterministic
@@ -395,11 +394,11 @@ mod tests {
         let params = MiningParams::with_min_support_count(2);
         let mut plain = VecSink::new();
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut plain);
         let mut sink = BudgetSink::new(VecSink::new(), Budget::unlimited());
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut sink);
         assert_eq!(sink.verdict(), Completeness::Complete);
         assert_eq!(sink.into_inner().found, plain.found);
@@ -411,13 +410,13 @@ mod tests {
         let params = MiningParams::with_min_support_count(1);
         let mut plain = VecSink::new();
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut plain);
         assert!(plain.found.len() > 10);
         let budget = Budget::unlimited().with_max_itemsets(7);
         let mut sink = BudgetSink::new(VecSink::new(), budget);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut sink);
         match sink.verdict() {
             Completeness::Truncated {
@@ -456,7 +455,7 @@ mod tests {
         let budget = Budget::unlimited().with_max_depth(2);
         let mut sink = BudgetSink::new(VecSink::new(), budget);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut sink);
         assert_eq!(
             sink.verdict().truncation_reason(),
@@ -473,7 +472,7 @@ mod tests {
         token.cancel();
         let mut sink = BudgetSink::new(VecSink::new(), Budget::unlimited()).with_cancel(token);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut sink);
         assert_eq!(
             sink.verdict().truncation_reason(),
@@ -485,15 +484,18 @@ mod tests {
     fn elapsed_deadline_times_out() {
         let db = db();
         let params = MiningParams::with_min_support_count(1);
-        let budget = Budget::unlimited().with_timeout(Duration::ZERO);
-        let mut sink = BudgetSink::new(VecSink::new(), budget);
-        crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Apriori)
-            .run_into(&mut sink);
-        assert_eq!(
-            sink.verdict().truncation_reason(),
-            Some(TruncationReason::Timeout)
-        );
+        for algo in [Algorithm::FpGrowth, Algorithm::Dense] {
+            let budget = Budget::unlimited().with_timeout(Duration::ZERO);
+            let mut sink = BudgetSink::new(VecSink::new(), budget);
+            crate::MiningTask::with_params(&db, params.clone())
+                .algorithm(algo)
+                .run_into(&mut sink);
+            assert_eq!(
+                sink.verdict().truncation_reason(),
+                Some(TruncationReason::Timeout),
+                "{algo}"
+            );
+        }
     }
 
     #[test]

@@ -44,20 +44,6 @@ impl<P> FrequentItemset<P> {
             self.support as f64 / n as f64
         }
     }
-
-    /// True iff `self`'s items are a subset of `other`'s.
-    pub fn is_subset_of(&self, other: &Self) -> bool {
-        crate::transaction::is_sorted_subset(&self.items, &other.items)
-    }
-
-    /// Maps the payload, keeping items and support.
-    pub fn map_payload<Q>(self, f: impl FnOnce(P) -> Q) -> FrequentItemset<Q> {
-        FrequentItemset {
-            items: self.items,
-            support: self.support,
-            payload: f(self.payload),
-        }
-    }
 }
 
 /// Sorts a mining result into canonical order: by length, then
@@ -88,14 +74,6 @@ mod tests {
         let fi = FrequentItemset::new(vec![0], 2, ());
         assert_eq!(fi.support_fraction(0), 0.0);
         assert!((fi.support_fraction(8) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn subset_relation() {
-        let a = FrequentItemset::new(vec![1, 3], 1, ());
-        let b = FrequentItemset::new(vec![1, 2, 3], 1, ());
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
     }
 
     #[test]

@@ -41,7 +41,7 @@ struct Block([u64; BLOCK_WORDS]);
 
 /// A growable `u64` buffer whose storage is 64-byte aligned.
 ///
-/// Backing store for [`crate::bitset_eclat::Bitset`] words, the dense
+/// Backing store for [`crate::bitset::Bitset`] words, the dense
 /// engine's buffer pool, and [`crate::masks::ClassMasks`] planes. The
 /// buffer rounds its capacity up to whole [`Block`]s; the logical length
 /// is tracked in words, and padding words past `len` inside the last

@@ -1,11 +1,14 @@
 //! Frequent pattern mining (FPM) substrate for DivExplorer.
 //!
-//! This crate implements three classic frequent-itemset mining algorithms —
-//! level-wise [Apriori](apriori), [FP-growth](fpgrowth) over an FP-tree, and
-//! vertical [Eclat](eclat) — plus the class-mask popcount engine
-//! [`dense`] (adaptive bitset / tid-list / dEclat-diffset representation
-//! with payload counters computed as `popcount(tidset & class_mask)`) and
-//! a [naive reference miner](naive) used for differential testing.
+//! This crate implements the paper's [FP-growth](fpgrowth) over an
+//! FP-tree, the class-mask popcount engine [`dense`] (adaptive bitset /
+//! tid-list / dEclat-diffset representation with payload counters
+//! computed as `popcount(tidset & class_mask)`), the two-pass
+//! [`sharded`] engine, and a [naive reference miner](naive) used for
+//! differential testing. Merge-based vertical [Eclat](eclat) is not a
+//! selectable engine: it is Dense's fallback for payloads that do not
+//! lower into class masks, the base of the parallel driver, and the
+//! merge-based reference in tests.
 //!
 //! The distinguishing feature, required by Algorithm 1 of the DivExplorer
 //! paper (Pastor et al., SIGMOD 2021), is that every miner is generic over a
@@ -84,11 +87,9 @@
 //! for the soundness argument and memory model.
 
 pub mod anchored;
-pub mod apriori;
 pub mod arena;
-pub mod bitset_eclat;
+pub mod bitset;
 pub mod budget;
-pub mod closed;
 pub mod dense;
 pub mod eclat;
 pub mod fpgrowth;
@@ -99,7 +100,6 @@ pub mod masks;
 pub mod naive;
 pub mod parallel;
 pub mod payload;
-pub mod rules;
 pub mod sharded;
 pub mod sink;
 pub mod task;
@@ -118,8 +118,6 @@ pub use sink::{CountingSink, FilterSink, ItemsetSink, TopKBySupportSink, VecSink
 pub use task::{MiningOutcome, MiningTask, MiningVerdict};
 pub use trace::TracingSink;
 pub use transaction::{ItemId, TransactionDb, TransactionDbBuilder};
-
-use rustc_hash::FxHashMap;
 
 /// Parameters controlling a mining run.
 #[derive(Debug, Clone)]
@@ -176,23 +174,15 @@ impl MiningParams {
 /// differ only in performance characteristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Level-wise candidate generation with hash-based support counting
-    /// (Agrawal & Srikant, VLDB 1994).
-    Apriori,
     /// Pattern growth over an FP-tree (Han, Pei & Yin, SIGMOD 2000). This is
     /// the algorithm the paper couples with DivExplorer in all reported
     /// experiments.
     FpGrowth,
-    /// Depth-first vertical mining over tid-lists (Zaki, 1997).
-    Eclat,
-    /// Vertical mining over packed bit vectors — fastest on dense databases
-    /// like DivExplorer's one-item-per-attribute transactions.
-    EclatBitset,
     /// Class-mask popcount counting with adaptive tidsets (bitsets,
     /// sorted tid-lists, dEclat diffsets): payload counters are computed
     /// as `popcount(tidset & class_mask)` instead of per-tid merges.
     /// Payloads that don't lower into class masks fall back to
-    /// [`Algorithm::Eclat`] transparently.
+    /// merge-based [`eclat`] transparently.
     Dense,
     /// Two-pass Partition mining over horizontal row shards: local
     /// candidate mining per shard (dense engine, scaled threshold), then
@@ -207,23 +197,13 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Every production algorithm (excludes [`Algorithm::Naive`]).
-    pub const ALL: [Algorithm; 6] = [
-        Algorithm::Apriori,
-        Algorithm::FpGrowth,
-        Algorithm::Eclat,
-        Algorithm::EclatBitset,
-        Algorithm::Dense,
-        Algorithm::Sharded,
-    ];
+    pub const ALL: [Algorithm; 3] = [Algorithm::FpGrowth, Algorithm::Dense, Algorithm::Sharded];
 
     /// The telemetry span name wrapping a [`mine_into`] run with this
     /// backend.
     pub fn span_name(&self) -> &'static str {
         match self {
-            Algorithm::Apriori => "fpm.mine.apriori",
             Algorithm::FpGrowth => "fpm.mine.fp-growth",
-            Algorithm::Eclat => "fpm.mine.eclat",
-            Algorithm::EclatBitset => "fpm.mine.eclat-bitset",
             Algorithm::Dense => "fpm.mine.dense",
             Algorithm::Sharded => "fpm.mine.sharded",
             Algorithm::Naive => "fpm.mine.naive",
@@ -234,10 +214,7 @@ impl Algorithm {
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            Algorithm::Apriori => "apriori",
             Algorithm::FpGrowth => "fp-growth",
-            Algorithm::Eclat => "eclat",
-            Algorithm::EclatBitset => "eclat-bitset",
             Algorithm::Dense => "dense",
             Algorithm::Sharded => "sharded",
             Algorithm::Naive => "naive",
@@ -267,10 +244,7 @@ pub(crate) fn dispatch_mine_into<P: Payload + Send + Sync, S: ItemsetSink<P>>(
     );
     let _span = obs::span(algorithm.span_name());
     match algorithm {
-        Algorithm::Apriori => apriori::mine_into(db, payloads, params, sink),
         Algorithm::FpGrowth => fpgrowth::mine_into(db, payloads, params, sink),
-        Algorithm::Eclat => eclat::mine_into(db, payloads, params, sink),
-        Algorithm::EclatBitset => bitset_eclat::mine_into(db, payloads, params, sink),
         Algorithm::Dense => dense::mine_into(db, payloads, params, sink),
         Algorithm::Sharded => {
             let source = sharded::MemShardSource::new(db, payloads, sharded::DEFAULT_SHARDS);
@@ -278,18 +252,6 @@ pub(crate) fn dispatch_mine_into<P: Payload + Send + Sync, S: ItemsetSink<P>>(
         }
         Algorithm::Naive => naive::mine_into(db, payloads, params, sink),
     }
-}
-
-/// Indexes a mining result by itemset for `O(1)` lookup.
-///
-/// Keys are the canonical (sorted) item slices of each frequent itemset.
-pub fn index_by_itemset<P: Payload>(found: &[FrequentItemset<P>]) -> FxHashMap<&[ItemId], usize> {
-    let mut map = FxHashMap::default();
-    map.reserve(found.len());
-    for (i, fi) in found.iter().enumerate() {
-        map.insert(fi.items.as_slice(), i);
-    }
-    map
 }
 
 #[cfg(test)]
@@ -350,25 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn index_by_itemset_round_trips() {
-        let db = toy_db();
-        let found = MiningTask::new(&db, 2)
-            .algorithm(Algorithm::FpGrowth)
-            .run()
-            .into_itemsets();
-        let idx = index_by_itemset(&found);
-        for (i, fi) in found.iter().enumerate() {
-            assert_eq!(idx[fi.items.as_slice()], i);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "payload slice length")]
     fn mismatched_payload_length_panics() {
         let db = toy_db();
         let _ = MiningTask::new(&db, 2)
             .payloads(&[(), ()])
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run();
     }
 }

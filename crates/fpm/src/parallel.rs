@@ -550,7 +550,6 @@ mod tests {
     use crate::itemset::sort_canonical;
     use crate::payload::CountPayload;
     use crate::sink::VecSink;
-    use crate::{Algorithm, MiningTask};
 
     fn db() -> TransactionDb {
         let rows: Vec<Vec<u32>> = (0..40)
@@ -573,11 +572,7 @@ mod tests {
         let db = db();
         let payloads: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(t as u64)).collect();
         let params = MiningParams::with_min_support_count(3);
-        let mut reference = MiningTask::with_params(&db, params.clone())
-            .payloads(&payloads)
-            .algorithm(Algorithm::Eclat)
-            .run()
-            .into_itemsets();
+        let mut reference = crate::eclat::mine(&db, &payloads, &params);
         sort_canonical(&mut reference);
         for n_threads in [1, 2, 3, 8] {
             let got = mine(&db, &payloads, &params, n_threads);

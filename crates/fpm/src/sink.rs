@@ -23,10 +23,10 @@
 //!   Because support is anti-monotone, this is the hook for top-k
 //!   cutoffs ("no extension can beat the current k-th support") and
 //!   depth limits beyond [`crate::MiningParams::max_len`]. The hook is
-//!   advisory: level-wise ([`crate::apriori`]) and merged-parallel
-//!   ([`crate::parallel`]) execution apply it where their traversal
-//!   order allows (see the module docs), and a sink must therefore
-//!   filter in `emit` if it *requires* suppression rather than pruning.
+//!   advisory: merged-parallel ([`crate::parallel`]) and
+//!   [`crate::sharded`] execution apply it where their traversal order
+//!   allows (see the module docs), and a sink must therefore filter in
+//!   `emit` if it *requires* suppression rather than pruning.
 
 use crate::itemset::FrequentItemset;
 use crate::payload::Payload;
@@ -265,7 +265,7 @@ mod tests {
     fn counting_sink_counts_without_storing() {
         let db = db();
         let params = MiningParams::with_min_support_count(1);
-        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Eclat);
+        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Dense);
         let expected = task.run().into_itemsets();
         let mut sink = CountingSink::new();
         task.run_into(&mut sink);
@@ -280,7 +280,7 @@ mod tests {
         let params = MiningParams::with_min_support_count(1);
         let mut sink = FilterSink::new(VecSink::new(), |items: &[u32], _, _: &()| items.len() == 2);
         crate::MiningTask::with_params(&db, params.clone())
-            .algorithm(Algorithm::Apriori)
+            .algorithm(Algorithm::FpGrowth)
             .run_into(&mut sink);
         assert!(!sink.inner.found.is_empty());
         assert!(sink.inner.found.iter().all(|fi| fi.items.len() == 2));
@@ -290,7 +290,7 @@ mod tests {
     fn top_k_by_support_keeps_the_k_best() {
         let db = db();
         let params = MiningParams::with_min_support_count(1);
-        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Eclat);
+        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Dense);
         let mut all = task.run().into_itemsets();
         all.sort_by_key(|fi| std::cmp::Reverse(fi.support));
         for k in [1usize, 3, 5] {

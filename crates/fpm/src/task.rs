@@ -513,7 +513,7 @@ mod tests {
         let new: Vec<CountPayload> = (0..db.len()).map(|t| CountPayload(1 << t)).collect();
         let candidates = MiningTask::new(&db, 2)
             .payloads(&old)
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run()
             .store
             .to_candidates();

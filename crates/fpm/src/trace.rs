@@ -144,7 +144,7 @@ mod tests {
     fn tracing_is_transparent_and_counts_the_stream() {
         let db = db();
         let params = MiningParams::with_min_support_count(2);
-        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Eclat);
+        let task = crate::MiningTask::with_params(&db, params.clone()).algorithm(Algorithm::Dense);
         let mut plain = VecSink::new();
         task.run_into(&mut plain);
         let mut traced = TracingSink::new(VecSink::new());
@@ -185,7 +185,7 @@ mod tests {
         let db = db();
         let mut traced = TracingSink::new(Stubborn);
         crate::MiningTask::new(&db, 1)
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut traced);
         assert_eq!(traced.declined(), traced.emitted());
     }

@@ -116,7 +116,7 @@ proptest! {
         let mut full = VecSink::new();
         MiningTask::with_params(&db, params.clone())
             .payloads(&payloads)
-            .algorithm(Algorithm::Eclat)
+            .algorithm(Algorithm::Dense)
             .run_into(&mut full);
 
         let token = CancelToken::new();

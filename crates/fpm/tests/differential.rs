@@ -48,6 +48,11 @@ proptest! {
             sort_canonical(&mut got);
             prop_assert_eq!(&got, &expected, "{} disagrees with oracle", algo);
         }
+        // Merge-based Eclat is no engine of its own, but Dense falls back
+        // to it and the parallel driver is built on it.
+        let mut got = fpm::eclat::mine(&db, &payloads, &params);
+        sort_canonical(&mut got);
+        prop_assert_eq!(&got, &expected, "eclat disagrees with oracle");
     }
 
     /// Tentpole acceptance: for every algorithm, mining into an
@@ -150,7 +155,7 @@ proptest! {
             .collect();
         let mut params = MiningParams::with_min_support_count(min_support);
         params.max_len = max_len;
-        let mut expected = mine(Algorithm::Eclat, &db, &payloads, &params);
+        let mut expected = fpm::eclat::mine(&db, &payloads, &params);
         sort_canonical(&mut expected);
         for config in [
             Config::default(),
@@ -218,7 +223,7 @@ proptest! {
         let payloads = payloads_for(&db);
         let params = MiningParams::with_min_support_count(min_support);
         let found: Vec<FrequentItemset<CountPayload>> =
-            mine(Algorithm::Eclat, &db, &payloads, &params);
+            fpm::eclat::mine(&db, &payloads, &params);
         for fi in &found {
             let mut expected = 0u64;
             let mut support = 0u64;
@@ -245,7 +250,7 @@ proptest! {
             .collect();
         let mut params = MiningParams::with_min_support_count(min_support);
         params.max_len = max_len;
-        let mut eclat = mine(Algorithm::Eclat, &db, &payloads, &params);
+        let mut eclat = fpm::eclat::mine(&db, &payloads, &params);
         sort_canonical(&mut eclat);
         let mut dense = mine(Algorithm::Dense, &db, &payloads, &params);
         sort_canonical(&mut dense);
@@ -368,7 +373,7 @@ proptest! {
     fn fused_tally_agrees_across_representations(
         rows in proptest::collection::vec(any::<bool>(), 1..200),
     ) {
-        use fpm::bitset_eclat::Bitset;
+        use fpm::bitset::Bitset;
         use fpm::{ClassMasks, Kernel};
         let n = rows.len();
         let payloads: Vec<(CountPayload, CountPayload)> = (0..n as u64)
@@ -410,7 +415,7 @@ proptest! {
     fn sharded_bounded_runs_stay_sound(db in small_db(), min_support in 1u64..4, cap in 1u64..8) {
         let payloads = payloads_for(&db);
         let params = MiningParams::with_min_support_count(min_support);
-        let mut full = mine(Algorithm::Eclat, &db, &payloads, &params);
+        let mut full = fpm::eclat::mine(&db, &payloads, &params);
         sort_canonical(&mut full);
 
         // Expired deadline: cut mid-phase, nothing emitted, phase named.
@@ -459,7 +464,7 @@ proptest! {
 /// storage would trip the slice bounds checks of the safe paths.
 #[test]
 fn kernels_never_read_past_odd_lengths() {
-    use fpm::bitset_eclat::Bitset;
+    use fpm::bitset::Bitset;
     use fpm::{AlignedWords, Kernel};
     for n_words in [1usize, 3, 7, 9, 15, 17, 31, 33] {
         // Fill two whole blocks beyond the target length with ones, then

@@ -16,8 +16,8 @@ const METRICS: [Metric; 2] = [Metric::FalsePositiveRate, Metric::ErrorRate];
 fn engines(support: f64) -> Vec<(&'static str, DivExplorer)> {
     vec![
         (
-            "eclat",
-            DivExplorer::new(support).with_algorithm(Algorithm::Eclat),
+            "fp-growth",
+            DivExplorer::new(support).with_algorithm(Algorithm::FpGrowth),
         ),
         (
             "dense",
@@ -137,7 +137,7 @@ proptest! {
         (data, v, u) in random_input(),
         flip_mask in proptest::collection::vec(any::<bool>(), 8..26),
     ) {
-        let explorer = DivExplorer::new(0.1).with_algorithm(Algorithm::Eclat);
+        let explorer = DivExplorer::new(0.1).with_algorithm(Algorithm::Dense);
         let cold = explorer.explore(&data, &v, &u, &METRICS).unwrap();
         let candidates = candidates_of(&cold);
 
@@ -176,7 +176,7 @@ proptest! {
             dataset_hash: artifact::dataset_hash(&data),
             min_support_count: report.min_support_count(),
             max_len: None,
-            engine: "eclat".to_string(),
+            engine: "fp-growth".to_string(),
             n_rows: data.n_rows() as u64,
         };
         let bytes = artifact::encode_arena(&key, &candidates_of(&report));
@@ -238,7 +238,7 @@ fn kind_confusion_is_a_typed_error() {
         dataset_hash: artifact::dataset_hash(&data),
         min_support_count: report.min_support_count(),
         max_len: None,
-        engine: "eclat".to_string(),
+        engine: "fp-growth".to_string(),
         n_rows: 4,
     };
     let arena_bytes = artifact::encode_arena(&key, &candidates_of(&report));

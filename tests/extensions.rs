@@ -1,6 +1,6 @@
 //! Integration tests for the extension layers: model comparison,
 //! neighborhood navigation, sampled Shapley, continuous-statistic
-//! divergence, closed/maximal condensation and the explainers, all on
+//! divergence and the explainers, all on
 //! generated data with real trained models.
 
 use datasets::DatasetId;
@@ -134,36 +134,6 @@ fn continuous_divergence_on_model_losses() {
         let rows = gd.data.support_set(&p.items);
         let mean = rows.iter().map(|&r| losses[r]).sum::<f64>() / rows.len() as f64;
         assert!((p.moments.mean() - mean).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn condensation_flags_on_a_real_exploration() {
-    let gd = DatasetId::Heart.generate_sized(400, 34);
-    let db = gd.data.to_transactions();
-    let found = fpm::MiningTask::with_params(
-        &db,
-        fpm::MiningParams::with_min_support_fraction(0.2, db.len()),
-    )
-    .algorithm(fpm::Algorithm::FpGrowth)
-    .run()
-    .into_itemsets();
-    let closed = fpm::closed::closed_itemsets(&found);
-    let maximal = fpm::closed::maximal_itemsets(&found);
-    assert!(!closed.is_empty());
-    assert!(maximal.len() <= closed.len());
-    assert!(closed.len() <= found.len());
-    // Spot-check closedness by brute force on a sample.
-    for fi in closed.iter().take(10) {
-        for other in &found {
-            if fi.items.len() + 1 == other.items.len() && fi.is_subset_of(other) {
-                assert!(
-                    other.support < fi.support,
-                    "closure violated for {:?}",
-                    fi.items
-                );
-            }
-        }
     }
 }
 

@@ -105,14 +105,7 @@ fn trace_is_valid_ndjson_monotone_and_span_balanced() {
 fn every_miner_emits_its_phase_span_and_matching_counters() {
     let _guard = obs_lock().lock().unwrap();
     let d = compas();
-    for algo in [
-        Algorithm::Apriori,
-        Algorithm::FpGrowth,
-        Algorithm::Eclat,
-        Algorithm::EclatBitset,
-        Algorithm::Dense,
-        Algorithm::Naive,
-    ] {
+    for algo in Algorithm::ALL.into_iter().chain([Algorithm::Naive]) {
         let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
         obs::install(recorder.clone());
         let report = DivExplorer::new(0.05)
