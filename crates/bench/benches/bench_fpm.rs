@@ -1,7 +1,7 @@
 //! Ablation: the selectable mining engines (`Algorithm::ALL`: the paper's
 //! FP-growth, Dense and Sharded) on the same exploration workload. The
-//! paper couples DivExplorer with FP-growth, the default engine; this
-//! bench measures that choice against the alternatives that remain.
+//! paper couples DivExplorer with FP-growth; the library defaults to
+//! Dense. This bench measures both against the alternatives that remain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datasets::DatasetId;

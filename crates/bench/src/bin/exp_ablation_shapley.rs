@@ -22,7 +22,8 @@ fn main() {
     // The session spans mining plus every attribution below, so the
     // report compares shapley.subset_evals against shapley.permutations.
     let session = telemetry::Session::start();
-    let report = DivExplorer::new(0.05)
+    let explorer = DivExplorer::new(0.05);
+    let report = explorer
         .explore(&gd.data, &gd.v, &gd.u, &[Metric::FalsePositiveRate])
         .expect("explore");
 
@@ -77,8 +78,12 @@ fn main() {
     );
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("ablation_shapley", "adult", "fp-growth")
-        .with_snapshot(&snapshot, "fpm.itemset_support");
+    let mut run = obs::RunReport::new(
+        "ablation_shapley",
+        "adult",
+        &explorer.algorithm().to_string(),
+    )
+    .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 20_000;
     run.min_support = 0.05;
     run.patterns = report.len() as u64;

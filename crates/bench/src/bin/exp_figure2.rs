@@ -15,7 +15,8 @@ fn main() {
     // The session covers exploration AND the Shapley attributions, so
     // the report carries both mining counters and shapley.subset_evals.
     let session = telemetry::Session::start();
-    let report = DivExplorer::new(0.1)
+    let explorer = DivExplorer::new(0.1);
+    let report = explorer
         .explore(&d.data, &d.v, &d.u, &metrics)
         .expect("explore");
 
@@ -49,7 +50,7 @@ fn main() {
     }
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("figure2", "compas", "fp-growth")
+    let mut run = obs::RunReport::new("figure2", "compas", &explorer.algorithm().to_string())
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 6172;
     run.min_support = 0.1;

@@ -43,8 +43,13 @@ impl obs::Recorder for CountingRecorder {
     }
 }
 
-fn explore_once(d: &datasets::GeneratedDataset) -> usize {
+/// The measured run's explorer: the library default at s = 0.01.
+fn explorer() -> DivExplorer {
     DivExplorer::new(0.01)
+}
+
+fn explore_once(d: &datasets::GeneratedDataset) -> usize {
+    explorer()
         .explore(
             &d.data,
             &d.v,
@@ -105,7 +110,8 @@ fn main() {
         "disabled-telemetry overhead {overhead_ratio:.4} exceeds the 2% budget"
     );
 
-    let mut run = obs::RunReport::new("overhead", "compas", "fp-growth");
+    let engine = explorer().algorithm().to_string();
+    let mut run = obs::RunReport::new("overhead", "compas", &engine);
     run.n_rows = 6172;
     run.min_support = 0.01;
     run.patterns = patterns as u64;
@@ -162,7 +168,7 @@ fn main() {
         "always-on serve telemetry overhead {serve_ratio:.4} exceeds the 2% budget"
     );
 
-    let mut serve_run = obs::RunReport::new("overhead_serve", "compas", "fp-growth");
+    let mut serve_run = obs::RunReport::new("overhead_serve", "compas", &engine);
     serve_run.n_rows = 6172;
     serve_run.min_support = 0.01;
     serve_run.patterns = patterns as u64;

@@ -23,8 +23,9 @@ fn main() {
     let session = telemetry::Session::start();
 
     // --- DivExplorer, s = 0.01. ---
+    let explorer = DivExplorer::new(0.01);
     let (report, t_div) = timed(|| {
-        DivExplorer::new(0.01)
+        explorer
             .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
             .expect("explore")
     });
@@ -127,8 +128,12 @@ fn main() {
     );
 
     let (snapshot, total) = session.finish();
-    let mut run = obs::RunReport::new("slicefinder", "artificial", "fp-growth")
-        .with_snapshot(&snapshot, "fpm.itemset_support");
+    let mut run = obs::RunReport::new(
+        "slicefinder",
+        "artificial",
+        &explorer.algorithm().to_string(),
+    )
+    .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 50_000;
     run.min_support = 0.01;
     run.patterns = report.len() as u64;

@@ -14,7 +14,8 @@ fn main() {
     println!("overall FPR = {fpr:.3}   overall FNR = {fnr:.3}   (paper: 0.088 / 0.698)\n");
 
     let session = telemetry::Session::start();
-    let report = DivExplorer::new(0.01)
+    let explorer = DivExplorer::new(0.01);
+    let report = explorer
         .explore(
             &d.data,
             &d.v,
@@ -91,7 +92,7 @@ fn main() {
          instead of #prior>3 drops the Afr-Am/Male FPR below the pair's rate."
     );
 
-    let mut run = obs::RunReport::new("table1", "compas", "fp-growth")
+    let mut run = obs::RunReport::new("table1", "compas", &explorer.algorithm().to_string())
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 6172;
     run.min_support = 0.01;

@@ -97,7 +97,9 @@ pub struct Args {
     pub trace_json: Option<String>,
     /// Print an aggregated telemetry summary to stderr after the run.
     pub stats: bool,
-    /// Mining engine backing the exploration.
+    /// Mining engine backing the exploration. Defaults to
+    /// [`fpm::Algorithm::Dense`], the library default; `--engine
+    /// fp-growth` selects the paper's backend.
     pub engine: fpm::Algorithm,
     /// Mine through the sharded two-pass engine with this many row
     /// shards (bit-identical results at a fraction of the peak memory).
@@ -270,9 +272,10 @@ OPTIONS:
   --trace-json FILE  stream telemetry (spans, counters, histograms) to FILE
                      as newline-delimited JSON
   --stats            print an aggregated telemetry summary to stderr
-  --engine NAME      mining engine: fp-growth, dense (class-mask popcount
-                     counting), or sharded (two-pass partitioned mining)
-                     [fp-growth]
+  --engine NAME      mining engine: dense (class-mask popcount counting),
+                     fp-growth (the paper's backend), or sharded (two-pass
+                     partitioned mining); all print the same results
+                     [dense]
   --shards N         split the data into N row shards and mine through the
                      sharded two-pass engine; results are bit-identical to
                      a one-pass run but peak mining memory is roughly one
@@ -331,7 +334,7 @@ impl Args {
             max_depth: None,
             trace_json: None,
             stats: false,
-            engine: fpm::Algorithm::FpGrowth,
+            engine: fpm::Algorithm::Dense,
             shards: None,
             threads: 1,
             prefetch: 0,
@@ -1101,7 +1104,7 @@ b,y,0,1
     #[test]
     fn engine_flag_parses_and_rejects_unknown_names() {
         let args = Args::parse(base_args("explore")).unwrap();
-        assert_eq!(args.engine, fpm::Algorithm::FpGrowth);
+        assert_eq!(args.engine, fpm::Algorithm::Dense);
 
         for algo in fpm::Algorithm::ALL {
             let mut argv = base_args("explore");
@@ -1126,20 +1129,54 @@ b,y,0,1
 
     #[test]
     fn every_engine_prints_the_same_explore_report() {
-        let reference = {
-            let args = Args::parse(base_args("explore")).unwrap();
-            let mut out = String::new();
-            run_with_content(&args, CSV, &mut out).unwrap();
-            out
-        };
-        for name in ["dense", "sharded"] {
-            let mut argv = base_args("explore");
-            argv.extend(["--engine".to_string(), name.to_string()]);
-            let args = Args::parse(argv).unwrap();
-            let mut out = String::new();
-            run_with_content(&args, CSV, &mut out).unwrap();
-            assert_eq!(out, reference, "engine {name}");
+        // The table ranks patterns; `--json` lists all of them, which pins
+        // the row order too. On this input FP-growth and Dense emit the
+        // lattice in different orders.
+        for json in [false, true] {
+            let explore = |engine: &str| {
+                let mut argv = base_args("explore");
+                argv.extend(["--engine".to_string(), engine.to_string()]);
+                if json {
+                    argv.push("--json".to_string());
+                }
+                let mut out = String::new();
+                run_with_content(&Args::parse(argv).unwrap(), CSV, &mut out).unwrap();
+                out
+            };
+            let reference = explore("fp-growth");
+            for name in ["dense", "sharded"] {
+                assert_eq!(explore(name), reference, "engine {name}, json {json}");
+            }
         }
+
+        // `analyze --artifact --json` recounts a canonical lattice and
+        // prints the same bytes as a cold `explore --json`.
+        let dir = artifact_temp_dir("json-order");
+        run_with_content(
+            &Args::parse(index_args(&dir)).unwrap(),
+            CSV,
+            &mut String::new(),
+        )
+        .unwrap();
+        let analyze = Args::parse(vec![
+            "analyze".to_string(),
+            "--artifact".to_string(),
+            dir.to_str().unwrap().to_string(),
+            "--name".to_string(),
+            "toy".to_string(),
+            "--support".to_string(),
+            "0.25".to_string(),
+            "--json".to_string(),
+        ])
+        .unwrap();
+        let mut warm = String::new();
+        artifacts::run_analyze(&analyze, &mut warm).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut argv = base_args("explore");
+        argv.push("--json".to_string());
+        let mut cold = String::new();
+        run_with_content(&Args::parse(argv).unwrap(), CSV, &mut cold).unwrap();
+        assert_eq!(warm, cold, "analyze --artifact --json");
 
         // `serve` ranks the same lattice under every engine, and a
         // removed engine's name gets exactly one soft failure that

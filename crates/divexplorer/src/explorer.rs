@@ -94,12 +94,15 @@ pub struct DivExplorer {
 }
 
 impl DivExplorer {
-    /// A new explorer with relative support threshold `min_support` and the
-    /// paper's default backend, FP-growth.
+    /// A new explorer with relative support threshold `min_support`,
+    /// mining with [`fpm::Algorithm::Dense`]. Dense mines 1.4–9× faster
+    /// than the paper's FP-growth on german, heart, bank, adult (s = 0.1)
+    /// and compas, and ties it on adult at s = 0.01; the report is
+    /// identical under either (Theorem 5.1 holds for any complete miner).
     pub fn new(min_support: f64) -> Self {
         DivExplorer {
             min_support,
-            algorithm: fpm::Algorithm::FpGrowth,
+            algorithm: fpm::Algorithm::Dense,
             max_len: None,
             threads: 1,
             budget: Budget::unlimited(),
@@ -109,8 +112,8 @@ impl DivExplorer {
         }
     }
 
-    /// Selects the mining engine: FP-growth (the default, the paper's
-    /// Alg. 1), Dense or Sharded, or the Naive oracle. All produce
+    /// Selects the mining engine: Dense (the default), FP-growth (the
+    /// paper's Alg. 1 backend), Sharded, or the Naive oracle. All produce
     /// identical reports.
     pub fn with_algorithm(mut self, algorithm: fpm::Algorithm) -> Self {
         self.algorithm = algorithm;
@@ -179,6 +182,11 @@ impl DivExplorer {
     /// The configured support threshold.
     pub fn min_support(&self) -> f64 {
         self.min_support
+    }
+
+    /// The configured mining engine.
+    pub fn algorithm(&self) -> fpm::Algorithm {
+        self.algorithm
     }
 
     /// Runs the exploration: mines every itemset with support ≥ the
@@ -267,7 +275,13 @@ impl DivExplorer {
         let min_support_count = params.min_support_count;
         let (store, completeness, shard_stats) = {
             let _span = obs::span("explore.recount");
-            let mut traced = TracingSink::new(ItemsetArena::new());
+            // Sized up front: growing a lattice-sized arena by doubling
+            // makes each query copy and release tens of MB, which the
+            // allocator can return to the OS and page back in per query.
+            let mut traced = TracingSink::new(ItemsetArena::with_capacity(
+                candidates.len(),
+                candidates.total_items(),
+            ));
             let verdict = self
                 .mining_task(&db, &payloads, &params)
                 .recount_into(candidates, &mut traced);

@@ -422,7 +422,8 @@ pub struct ReportExport {
     pub min_support_count: u64,
     /// Overall rate `f(D)` per metric (`None` where undefined).
     pub dataset_rates: Vec<Option<f64>>,
-    /// One entry per frequent pattern.
+    /// One entry per frequent pattern, in canonical order: shorter
+    /// itemsets first, then by item ids.
     pub patterns: Vec<PatternExport>,
 }
 
@@ -455,7 +456,9 @@ fn noneify(x: f64) -> Option<f64> {
 
 impl DivergenceReport {
     /// Exports the report into a plain serializable structure (rates and
-    /// divergences materialized), e.g. for JSON dashboards:
+    /// divergences materialized), e.g. for JSON dashboards. Patterns are
+    /// listed in canonical order (length, then items), so the export does
+    /// not depend on the mining engine's emission order:
     ///
     /// ```
     /// # use divexplorer::{DatasetBuilder, DivExplorer, Metric};
@@ -470,6 +473,12 @@ impl DivergenceReport {
     /// ```
     pub fn export(&self) -> ReportExport {
         let n_metrics = self.metrics.len();
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        // Itemsets are distinct, so an unstable sort is deterministic.
+        order.sort_unstable_by(|&a, &b| {
+            let (ia, ib) = (self.items(a), self.items(b));
+            ia.len().cmp(&ib.len()).then_with(|| ia.cmp(ib))
+        });
         ReportExport {
             metrics: self
                 .metrics
@@ -481,7 +490,8 @@ impl DivergenceReport {
             dataset_rates: (0..n_metrics)
                 .map(|m| noneify(self.dataset_rate(m)))
                 .collect(),
-            patterns: (0..self.len())
+            patterns: order
+                .into_iter()
                 .map(|idx| PatternExport {
                     itemset: self.display_itemset(self.items(idx)),
                     items: self.items(idx).to_vec(),
@@ -610,7 +620,15 @@ mod tests {
     fn export_materializes_consistent_values() {
         let r = report();
         let export = r.export();
-        for (idx, p) in export.patterns.iter().enumerate() {
+        assert_eq!(export.patterns.len(), r.len());
+        let key = |p: &PatternExport| (p.items.len(), p.items.clone());
+        assert!(
+            export.patterns.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "patterns must be in canonical order"
+        );
+        for p in &export.patterns {
+            let idx = r.find(&p.items).unwrap();
+            assert_eq!(p.itemset, r.display_itemset(&p.items));
             assert_eq!(p.support, r.support(idx));
             if let Some(d) = p.divergences[0] {
                 assert!((d - r.divergence(idx, 0)).abs() < 1e-12);

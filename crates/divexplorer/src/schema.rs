@@ -126,9 +126,9 @@ impl Schema {
 
     /// Renders one item as `attr=value`.
     pub fn display_item(&self, id: ItemId) -> String {
-        let item = self.decode(id);
-        let attr = &self.attributes[item.attribute as usize];
-        format!("{}={}", attr.name, attr.values[item.value as usize])
+        let mut out = String::new();
+        self.push_item(&mut out, id);
+        out
     }
 
     /// Renders a sorted itemset as `attr1=v1, attr2=v2, …` (the paper's
@@ -137,11 +137,23 @@ impl Schema {
         if items.is_empty() {
             return "⟨∅⟩".to_string();
         }
-        items
-            .iter()
-            .map(|&id| self.display_item(id))
-            .collect::<Vec<_>>()
-            .join(", ")
+        let mut out = String::new();
+        for (i, &id) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.push_item(&mut out, id);
+        }
+        out
+    }
+
+    /// Appends `attr=value` for one item.
+    fn push_item(&self, out: &mut String, id: ItemId) {
+        let item = self.decode(id);
+        let attr = &self.attributes[item.attribute as usize];
+        out.push_str(&attr.name);
+        out.push('=');
+        out.push_str(&attr.values[item.value as usize]);
     }
 
     /// The set of attribute indices referenced by an itemset (`attr(I)`).

@@ -1,7 +1,7 @@
 //! CI smoke test for bounded execution: mines German credit at support 0
 //! (a lattice of millions of itemsets, 2.9M already at s=0.01) under a
-//! 100 ms wall-clock budget with the default FP-growth engine and with
-//! the dense engine, asserting a clean truncated exit with partial
+//! 100 ms wall-clock budget with the paper's FP-growth engine and with
+//! the default dense engine, asserting a clean truncated exit with partial
 //! results — no hang, no panic, no OOM.
 //!
 //! ```sh

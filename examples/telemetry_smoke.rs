@@ -31,7 +31,8 @@ fn main() {
 
     let d = datasets::compas::generate(6172, 42).into_dataset();
     let start = std::time::Instant::now();
-    let report = DivExplorer::new(0.01)
+    let explorer = DivExplorer::new(0.01);
+    let report = explorer
         .explore(
             &d.data,
             &d.v,
@@ -81,7 +82,8 @@ fn main() {
         "counters must agree with the exploration result"
     );
 
-    let mut run = obs::RunReport::new("telemetry_smoke", "compas", "fp-growth")
+    let engine = explorer.algorithm().to_string();
+    let mut run = obs::RunReport::new("telemetry_smoke", "compas", &engine)
         .with_snapshot(&snapshot, "fpm.itemset_support");
     run.n_rows = 6172;
     run.min_support = 0.01;

@@ -1,12 +1,12 @@
 //! Offline drop-in replacement for `serde` with `derive`.
 //!
 //! Instead of the visitor-based Serializer/Deserializer machinery, this
-//! shim routes everything through an owned JSON-like [`Value`] tree:
-//! `Serialize` renders a value into a [`Value`], `Deserialize` rebuilds
-//! one from it. The `serde_json` shim then formats/parses that tree.
-//! The derive macros (re-exported from `serde_derive`) cover plain
-//! structs with named fields and unit-variant enums — exactly the
-//! shapes this workspace derives.
+//! shim speaks JSON directly: `Serialize` streams a value as JSON text
+//! into a [`Serializer`], and `Deserialize` rebuilds one from an owned
+//! JSON-like [`Value`] tree that the `serde_json` shim parses. The
+//! derive macros (re-exported from `serde_derive`) cover plain structs
+//! with named fields and unit-variant enums — exactly the shapes this
+//! workspace derives.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -138,8 +138,163 @@ impl PartialEq<str> for Value {
     }
 }
 
+/// A JSON text writer that [`Serialize`] implementations stream into.
+///
+/// Compact by default; [`Serializer::pretty`] puts every container entry
+/// on its own line, indented two spaces per level. An array is written by
+/// [`Serializer::seq`]; an object is [`Serializer::begin_object`], one
+/// [`Serializer::field`] per entry, then [`Serializer::end_object`]. The
+/// writer places the separators and prints `[]`/`{}` for empty
+/// containers. One `first` flag is enough state for any nesting: opening
+/// a container sets it, the first entry clears it, and closing a
+/// container leaves the parent with at least one entry.
+pub struct Serializer {
+    out: String,
+    pretty: bool,
+    level: usize,
+    first: bool,
+}
+
+impl Serializer {
+    /// A writer with no whitespace between tokens.
+    pub fn compact() -> Self {
+        Serializer {
+            out: String::new(),
+            pretty: false,
+            level: 0,
+            first: false,
+        }
+    }
+
+    /// A writer that indents nested containers by two spaces per level.
+    pub fn pretty() -> Self {
+        Serializer {
+            pretty: true,
+            ..Serializer::compact()
+        }
+    }
+
+    /// The JSON text written so far.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a number. Non-finite values print as `null`; integral
+    /// values below 9e15 in magnitude print without a fraction; anything
+    /// else prints in Rust's shortest round-trip form.
+    pub fn number(&mut self, n: f64) {
+        use std::fmt::Write as _;
+        if !n.is_finite() {
+            self.null();
+        } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+            let _ = write!(self.out, "{}", n as i64);
+        } else {
+            let _ = write!(self.out, "{n}");
+        }
+    }
+
+    /// Writes a quoted string, escaping `"`, `\` and control characters.
+    /// Everything else, non-ASCII text included, is copied verbatim.
+    pub fn string(&mut self, s: &str) {
+        use std::fmt::Write as _;
+        self.out.push('"');
+        let mut start = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // `b` is ASCII, so `i` is a character boundary.
+            self.out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                let _ = write!(self.out, "\\u{:04x}", b);
+            } else {
+                self.out.push_str(escape);
+            }
+            start = i + 1;
+        }
+        self.out.push_str(&s[start..]);
+        self.out.push('"');
+    }
+
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Writes one object entry.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.entry();
+        self.string(key);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+        value.serialize(self);
+    }
+
+    /// Writes an array of `items`.
+    pub fn seq<'a, T: Serialize + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+        self.open('[');
+        for item in items {
+            self.entry();
+            item.serialize(self);
+        }
+        self.close(']');
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.level += 1;
+        self.first = true;
+    }
+
+    fn entry(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.newline_indent();
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.level -= 1;
+        if !self.first {
+            self.newline_indent();
+        }
+        self.first = false;
+        self.out.push(bracket);
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.level {
+                self.out.push_str("  ");
+            }
+        }
+    }
+}
+
+/// Types that write themselves as JSON text.
 pub trait Serialize {
-    fn to_value(&self) -> Value;
+    fn serialize(&self, ser: &mut Serializer);
 }
 
 pub trait Deserialize: Sized {
@@ -149,8 +304,8 @@ pub trait Deserialize: Sized {
 macro_rules! serialize_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(*self as f64)
+            fn serialize(&self, ser: &mut Serializer) {
+                ser.number(*self as f64);
             }
         }
 
@@ -169,12 +324,8 @@ macro_rules! serialize_int {
 serialize_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        if self.is_finite() {
-            Value::Number(*self)
-        } else {
-            Value::Null
-        }
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.number(*self);
     }
 }
 
@@ -191,8 +342,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        (*self as f64).to_value()
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.number(*self as f64);
     }
 }
 
@@ -203,8 +354,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.bool(*self);
     }
 }
 
@@ -216,8 +367,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.string(self);
     }
 }
 
@@ -230,20 +381,20 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.string(self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, ser: &mut Serializer) {
+        (**self).serialize(ser);
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.seq(self);
     }
 }
 
@@ -258,16 +409,16 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, ser: &mut Serializer) {
+        ser.seq(self);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, ser: &mut Serializer) {
         match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
+            Some(inner) => inner.serialize(ser),
+            None => ser.null(),
         }
     }
 }
@@ -282,8 +433,21 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, ser: &mut Serializer) {
+        match self {
+            Value::Null => ser.null(),
+            Value::Bool(b) => ser.bool(*b),
+            Value::Number(n) => ser.number(*n),
+            Value::String(s) => ser.string(s),
+            Value::Array(items) => ser.seq(items),
+            Value::Object(fields) => {
+                ser.begin_object();
+                for (key, value) in fields {
+                    ser.field(key, value);
+                }
+                ser.end_object();
+            }
+        }
     }
 }
 

@@ -140,16 +140,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::Struct { name, fields } => {
             let entries: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), ::serde::Serialize::to_value(&self.{f})),"
-                    )
-                })
+                .map(|f| format!("ser.field(\"{f}\", &self.{f});"))
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Object(::std::vec![{entries}])\n\
+                     fn serialize(&self, ser: &mut ::serde::Serializer) {{\n\
+                         ser.begin_object();\n\
+                         {entries}\n\
+                         ser.end_object();\n\
                      }}\n\
                  }}"
             )
@@ -157,15 +155,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Shape::Enum { name, variants } => {
             let arms: String = variants
                 .iter()
-                .map(|v| {
-                    format!(
-                        "{name}::{v} => ::serde::Value::String(::std::string::String::from(\"{v}\")),"
-                    )
-                })
+                .map(|v| format!("{name}::{v} => ser.string(\"{v}\"),"))
                 .collect();
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
+                     fn serialize(&self, ser: &mut ::serde::Serializer) {{\n\
                          match self {{ {arms} }}\n\
                      }}\n\
                  }}"

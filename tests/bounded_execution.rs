@@ -15,7 +15,7 @@ use fpm::{Budget, CancelToken, TruncationReason};
 /// budgets of these tests, however fast the machine.
 const PATHOLOGICAL_SUPPORT: f64 = 0.0;
 
-/// The paper's FP-growth (the default engine) and the dense engine.
+/// The paper's FP-growth and the dense engine (the default).
 const ENGINES: [fpm::Algorithm; 2] = [fpm::Algorithm::FpGrowth, fpm::Algorithm::Dense];
 
 fn pathological_input() -> GeneratedDataset {

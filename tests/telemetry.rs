@@ -6,14 +6,18 @@
 
 use divexplorer::{DivExplorer, Metric};
 use fpm::{Algorithm, Budget, Completeness};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// [`obs`] installs a process-global recorder, so every test that
 /// installs one must hold this lock for its whole install/uninstall
-/// window (tests in one binary run on parallel threads).
-fn obs_lock() -> &'static Mutex<()> {
+/// window (tests in one binary run on parallel threads). A test that
+/// fails while holding it poisons the lock; the next test recovers the
+/// guard, so one failure does not cascade into every later test.
+fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn compas() -> datasets::GeneratedDataset {
@@ -22,7 +26,7 @@ fn compas() -> datasets::GeneratedDataset {
 
 #[test]
 fn trace_is_valid_ndjson_monotone_and_span_balanced() {
-    let _guard = obs_lock().lock().unwrap();
+    let _guard = obs_lock();
     let path = std::env::temp_dir().join(format!("telemetry-trace-{}.ndjson", std::process::id()));
 
     let file = std::fs::File::create(&path).unwrap();
@@ -30,7 +34,9 @@ fn trace_is_valid_ndjson_monotone_and_span_balanced() {
         std::io::BufWriter::new(file),
     )));
     let d = compas();
+    // FP-growth: the span assertions below include its tree-build phase.
     let report = DivExplorer::new(0.05)
+        .with_algorithm(Algorithm::FpGrowth)
         .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
         .expect("explore");
     obs::uninstall(); // flushes the BufWriter through the recorder
@@ -103,7 +109,7 @@ fn trace_is_valid_ndjson_monotone_and_span_balanced() {
 
 #[test]
 fn every_miner_emits_its_phase_span_and_matching_counters() {
-    let _guard = obs_lock().lock().unwrap();
+    let _guard = obs_lock();
     let d = compas();
     for algo in Algorithm::ALL.into_iter().chain([Algorithm::Naive]) {
         let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
@@ -137,7 +143,7 @@ fn every_miner_emits_its_phase_span_and_matching_counters() {
 /// the loop thread's boundary explicitly.
 #[test]
 fn request_context_propagates_through_parallel_mining_workers() {
-    let _guard = obs_lock().lock().unwrap();
+    let _guard = obs_lock();
     let d = compas();
     let flight = std::sync::Arc::new(obs::FlightRecorder::new(8, 65_536));
     let stats = std::sync::Arc::new(obs::StatsRecorder::new());
@@ -185,18 +191,24 @@ fn request_context_propagates_through_parallel_mining_workers() {
     assert_eq!(lat.count(), 1);
 }
 
-/// Satellite regression: under every budget and thread count, the
+/// Under FP-growth and Dense and every thread count, the
 /// `Truncated` verdict's `emitted` must equal both the patterns kept in
 /// the report and the `fpm.itemsets_emitted` counter — the exit-4 path
 /// reports exactly what the miner kept.
 #[test]
 fn truncated_verdict_agrees_with_report_and_counters() {
-    let _guard = obs_lock().lock().unwrap();
+    let _guard = obs_lock();
     let d = compas();
-    for threads in [1usize, 2] {
+    for (algo, threads) in [
+        (Algorithm::FpGrowth, 1usize),
+        (Algorithm::FpGrowth, 2),
+        (Algorithm::Dense, 1),
+        (Algorithm::Dense, 2),
+    ] {
         let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
         obs::install(recorder.clone());
         let report = DivExplorer::new(0.05)
+            .with_algorithm(algo)
             .with_threads(threads)
             .with_budget(Budget::unlimited().with_max_itemsets(5))
             .explore(&d.data, &d.v, &d.u, &[Metric::FalsePositiveRate])
@@ -208,16 +220,16 @@ fn truncated_verdict_agrees_with_report_and_counters() {
                 assert_eq!(
                     emitted,
                     report.len() as u64,
-                    "threads={threads}: verdict must count what the report holds"
+                    "{algo}, threads={threads}: verdict must count what the report holds"
                 );
                 assert_eq!(
                     recorder.snapshot().counter("fpm.itemsets_emitted"),
                     emitted,
-                    "threads={threads}: telemetry must agree with the verdict"
+                    "{algo}, threads={threads}: telemetry must agree with the verdict"
                 );
             }
             Completeness::Complete => {
-                panic!("threads={threads}: a 5-itemset cap must truncate this dataset")
+                panic!("{algo}, threads={threads}: a 5-itemset cap must truncate this dataset")
             }
         }
     }
