@@ -14,7 +14,7 @@
 use bench::{banner, telemetry};
 use divexplorer::{Metric, MultiCounts};
 use fpm::bitset::Bitset;
-use fpm::{Algorithm, ClassMasks, ItemsetArena, Kernel, MiningParams, TransactionDb};
+use fpm::{Algorithm, ClassMasks, ItemsetArena, Kernel, MiningParams, Payload, TransactionDb};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -133,27 +133,53 @@ fn main() {
     //
     // The same (T, F, ⊥) tally measured three ways, matching the three
     // tidset representations the engines hold:
-    //   dense bitset — per-class AND+popcount loop vs the fused
-    //                  multi-mask streaming pass, under every kernel;
-    //   tid-list     — per-tid mask probes (`count_sparse`);
+    //   dense bitset — one AND+popcount pass per class mask (the
+    //                  per-class baseline, built here) vs the segment
+    //                  tally over the class-sorted layout, under every
+    //                  kernel;
+    //   tid-list     — the merge walk against the segment bounds
+    //                  (`count_sparse`);
     //   diffset      — the dEclat subtraction (`subtract_sparse`).
+    // Tidsets hold layout positions, as the engines' do.
     let masks = ClassMasks::build(&payloads).expect("MultiCounts lowers to class masks");
     let n_classes = masks.n_classes();
-    let mut tids = Bitset::zeros(db.len());
-    for t in (0..db.len()).step_by(3) {
-        tids.set(t);
+    let mut class_masks = vec![Bitset::zeros(db.len()); n_classes];
+    for (row, p) in payloads.iter().enumerate() {
+        p.encode_classes(masks.spec(), &mut |c| {
+            class_masks[c].set(masks.position(row))
+        });
     }
-    let tid_list: Vec<u32> = (0..db.len() as u32).step_by(3).collect();
-    let diff_list: Vec<u32> = (0..db.len() as u32).step_by(30).collect();
+    let positions = |step: usize| {
+        let mut out: Vec<u32> = (0..db.len())
+            .step_by(step)
+            .map(|r| masks.position(r) as u32)
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    let tid_list = positions(3);
+    let diff_list = positions(30);
+    let mut tids = Bitset::zeros(db.len());
+    for &p in &tid_list {
+        tids.set(p as usize);
+    }
     let iters = if smoke { 50 } else { 500 };
     let kreps = reps.max(3);
+    let per_class = |kernel: Kernel, tids: &Bitset, counts: &mut [u64]| {
+        for (slot, mask) in counts.iter_mut().zip(&class_masks) {
+            *slot = kernel.and_count(tids.words(), mask.words());
+        }
+    };
 
     let mut kernel_counters: Vec<(String, u64)> = Vec::new();
     let mut reference = vec![0u64; n_classes];
-    masks.count_dense_per_class(Kernel::Scalar, &tids, &mut reference);
+    per_class(Kernel::Scalar, &tids, &mut reference);
     let mut per_class_scalar_us = 0u64;
     println!();
-    println!("kernel microbench ({iters} tallies, {n_classes} classes, best of {kreps}):");
+    println!(
+        "kernel microbench ({iters} tallies, {n_classes} classes, {} segments, best of {kreps}):",
+        masks.n_segments()
+    );
     for kernel in Kernel::ALL {
         if !kernel.available() {
             println!("  {kernel:<9} unavailable on this CPU, skipped");
@@ -162,7 +188,7 @@ fn main() {
         let mut counts = vec![0u64; n_classes];
         let per_us = best_us(kreps, || {
             for _ in 0..iters {
-                masks.count_dense_per_class(kernel, black_box(&tids), &mut counts);
+                per_class(kernel, black_box(&tids), &mut counts);
             }
             black_box(&counts);
         });
@@ -173,9 +199,9 @@ fn main() {
             }
             black_box(&counts);
         });
-        assert_eq!(counts, reference, "{kernel}: fused tally differs");
+        assert_eq!(counts, reference, "{kernel}: segment tally differs");
         println!(
-            "  {kernel:<9} per-class {per_us:>7} µs   fused {fused_us:>7} µs   ({:.2}x)",
+            "  {kernel:<9} per-class {per_us:>7} µs   segment {fused_us:>7} µs   ({:.2}x)",
             per_us as f64 / fused_us as f64
         );
         if kernel == Kernel::Scalar {
@@ -185,9 +211,8 @@ fn main() {
         kernel_counters.push((format!("kernel_dense_fused_{kernel}_us"), fused_us));
     }
 
-    // The tentpole contract: one fused streaming pass under the
-    // process-selected kernel beats the historical per-class scalar
-    // loop by ≥ 2× on the dense-bitset regime.
+    // The contract: the segment tally under the process-selected kernel
+    // beats the per-class scalar loop by ≥ 2× on the dense-bitset regime.
     let selected = fpm::kernels::selected();
     let mut counts = vec![0u64; n_classes];
     let fused_selected_us = best_us(kreps, || {
@@ -196,15 +221,15 @@ fn main() {
         }
         black_box(&counts);
     });
-    assert_eq!(counts, reference, "selected kernel: fused tally differs");
+    assert_eq!(counts, reference, "selected kernel: segment tally differs");
     let fused_speedup = per_class_scalar_us as f64 / fused_selected_us as f64;
-    println!("fused ({selected}) speedup over per-class scalar: {fused_speedup:.2}x");
+    println!("segment ({selected}) speedup over per-class scalar: {fused_speedup:.2}x");
     if !smoke {
         assert!(
             fused_speedup >= 2.0,
-            "fused multi-mask kernel must be at least 2x faster than the \
-             per-class scalar tally (per-class {per_class_scalar_us} µs vs \
-             fused {fused_selected_us} µs = {fused_speedup:.2}x)"
+            "segment tally must be at least 2x faster than the per-class \
+             scalar tally (per-class {per_class_scalar_us} µs vs \
+             segment {fused_selected_us} µs = {fused_speedup:.2}x)"
         );
     }
     kernel_counters.push(("kernel_fused_selected_us".to_string(), fused_selected_us));

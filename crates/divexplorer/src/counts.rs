@@ -297,13 +297,16 @@ mod tests {
             .collect();
         let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
         assert_eq!(masks.n_classes(), 3);
-        let tids = [0u32, 2, 3, 5];
+        let rows = [0usize, 2, 3, 5];
+        // The tally takes layout positions, sorted.
+        let mut positions: Vec<u32> = rows.iter().map(|&r| masks.position(r) as u32).collect();
+        positions.sort_unstable();
         let mut counts = vec![0u64; 3];
-        masks.count_sparse(&tids, &mut counts);
+        assert_eq!(masks.count_sparse(&positions, &mut counts), 4);
         let decoded: OutcomeCounts = masks.decode(&counts);
         let mut expected = OutcomeCounts::zero();
-        for &t in &tids {
-            expected.merge(&payloads[t as usize]);
+        for &r in &rows {
+            expected.merge(&payloads[r]);
         }
         assert_eq!(decoded, expected);
     }
@@ -324,13 +327,17 @@ mod tests {
             .collect();
         let masks = fpm::ClassMasks::build(&payloads).expect("indicators are maskable");
         assert_eq!(masks.n_classes(), 6);
-        let tids = [1u32, 2, 3];
+        // (T, ⊥), (F, T), (⊥, ⊥), (T, F): four signatures, one row each.
+        assert_eq!(masks.n_segments(), 4);
+        let rows = [1usize, 2, 3];
+        let mut positions: Vec<u32> = rows.iter().map(|&r| masks.position(r) as u32).collect();
+        positions.sort_unstable();
         let mut counts = vec![0u64; 6];
-        masks.count_sparse(&tids, &mut counts);
+        assert_eq!(masks.count_sparse(&positions, &mut counts), 3);
         let decoded: MultiCounts = masks.decode(&counts);
         let mut expected = MultiCounts::zero();
-        for &t in &tids {
-            expected.merge(&payloads[t as usize]);
+        for &r in &rows {
+            expected.merge(&payloads[r]);
         }
         assert_eq!(decoded, expected);
     }

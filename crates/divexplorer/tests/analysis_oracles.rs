@@ -1,5 +1,6 @@
 //! Differential tests for the lattice analyses: global divergence (Eq. 8),
-//! ε-pruning (§3.5), corrective items (§4.2) and top-k ranking.
+//! ε-pruning (§3.5), corrective items (§4.2), top-k ranking and local
+//! Shapley (Eq. 5).
 //!
 //! Each is checked on random small datasets (≤ 6 attributes of ≤ 4 values,
 //! random `v`/`u`, random support and engine) over three kinds of report:
@@ -505,6 +506,46 @@ impl Oracle {
     }
 }
 
+/// Local Shapley (Eq. 5) by brute force: enumerates every `J ⊆ I ∖ {α}`,
+/// counts the rows of `J` and `J ∪ {α}` directly and weighs the marginal
+/// divergence by `|J|!(|I|−|J|−1)!/|I|!`. `None` when some subset's
+/// divergence is undefined (an empty reference class).
+fn brute_shapley(
+    data: &DiscreteDataset,
+    v: &[bool],
+    u: &[bool],
+    items: &[ItemId],
+    m: usize,
+) -> Option<Vec<(ItemId, f64)>> {
+    let overall = tally(0..data.n_rows(), v, u)[m].rate();
+    let delta = |subset: &[ItemId]| -> Option<f64> {
+        if subset.is_empty() {
+            return Some(0.0);
+        }
+        let d = tally(data.support_set(subset).into_iter(), v, u)[m].rate() - overall;
+        (!d.is_nan()).then_some(d)
+    };
+    let factorial = |k: usize| (1..=k).map(|x| x as f64).product::<f64>();
+    let k = items.len();
+    let mut out = Vec::with_capacity(k);
+    for &alpha in items {
+        let rest: Vec<ItemId> = items.iter().copied().filter(|&i| i != alpha).collect();
+        let mut contribution = 0.0;
+        for mask in 0u32..1 << rest.len() {
+            let j: Vec<ItemId> = (0..rest.len())
+                .filter(|&b| mask >> b & 1 == 1)
+                .map(|b| rest[b])
+                .collect();
+            let mut j_alpha = j.clone();
+            j_alpha.insert(j.partition_point(|&i| i < alpha), alpha);
+            let weight = factorial(j.len()) * factorial(k - j.len() - 1) / factorial(k);
+            contribution += weight * (delta(&j_alpha)? - delta(&j)?);
+        }
+        out.push((alpha, contribution));
+    }
+    Some(out)
+}
+
 fn random_input() -> impl Strategy<Value = (DiscreteDataset, Vec<bool>, Vec<bool>)> {
     (proptest::collection::vec(2u16..5, 1..7), 6usize..32).prop_flat_map(|(cards, n)| {
         let width = cards.len();
@@ -712,6 +753,42 @@ proptest! {
                 match (&got, &want) {
                     (Ok(a), Ok(b)) => prop_assert!(same_pairs(a, b), "{:?}", target),
                     _ => prop_assert_eq!(&got, &want),
+                }
+            }
+        }
+    }
+
+    /// Local Shapley (Eq. 5) against the brute-force oracle, which shares
+    /// neither the miner nor the report: every contribution within 1e-9,
+    /// and an undefined subset divergence exactly where the oracle finds
+    /// one.
+    #[test]
+    fn shapley_matches_the_brute_force_oracle(
+        (data, v, u) in random_input(),
+        support in 0.0f64..0.3,
+        engine in 0usize..3,
+    ) {
+        let report = DivExplorer::new(support)
+            .with_algorithm(ENGINES[engine])
+            .explore(&data, &v, &u, &METRICS)
+            .unwrap();
+        for idx in 0..report.len().min(20) {
+            for m in 0..METRICS.len() {
+                let target = report.items(idx);
+                let got = item_contributions(&report, target, m);
+                match (got, brute_shapley(&data, &v, &u, target, m)) {
+                    (Ok(got), Some(want)) => {
+                        prop_assert_eq!(got.len(), want.len());
+                        for (&(item, g), &(w_item, w)) in got.iter().zip(&want) {
+                            prop_assert_eq!(item, w_item);
+                            prop_assert!(
+                                (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                                "{:?} item {} m={}: {} vs {}", target, item, m, g, w
+                            );
+                        }
+                    }
+                    (Err(divexplorer::shapley::ShapleyError::UndefinedDivergence(_)), None) => {}
+                    (got, want) => prop_assert!(false, "{:?} m={}: {:?} vs {:?}", target, m, got, want),
                 }
             }
         }

@@ -1,7 +1,6 @@
 //! Packed bit vectors over transaction ids: the dense tidset of the
-//! [`crate::dense`] engine, the per-class planes of
-//! [`crate::masks::ClassMasks`], and the row sets of the
-//! [`crate::sharded`] recount.
+//! [`crate::dense`] engine and the row sets of the [`crate::sharded`]
+//! recount, both indexed by [`crate::masks::ClassMasks`] layout position.
 
 use crate::kernels::{self, AlignedWords};
 

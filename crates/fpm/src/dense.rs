@@ -3,18 +3,19 @@
 //! The merge-based miners realize payload fusion as a per-tid
 //! [`Payload::merge`] walk; on DivExplorer's dense one-item-per-attribute
 //! databases that walk dominates runtime. This engine removes it entirely
-//! for payloads that lower into [`ClassMasks`]: outcome counters become
-//! `popcount(tidset & class_mask)` — a few cache lines of word-wide ANDs
-//! per itemset.
+//! for payloads that lower into [`ClassMasks`]: tidsets are indexed by
+//! the layout's class-sorted row positions, so all outcome counters of an
+//! itemset come from one popcount per tidset word.
 //!
 //! Three tidset representations are used adaptively per lattice node:
 //!
 //! - **Dense** ([`Bitset`]): support density at or above
-//!   [`Config::sparse_cutoff`]. Intersection is word-AND, counting is
-//!   AND + popcount against the masks.
+//!   [`Config::sparse_cutoff`]. A candidate's support is one word-AND +
+//!   popcount pass; a frequent candidate's intersection is stored, and
+//!   one segment tally over it yields its class counts.
 //! - **Sparse** (sorted tid-list): below the cutoff, where a word scan
-//!   would mostly touch zeros. Counting probes each tid against the
-//!   masks.
+//!   would mostly touch zeros. Counting is one merge walk of the list
+//!   against the layout's segment bounds.
 //! - **Diffset** (dEclat, Zaki & Gouda 2003): when every frequent child
 //!   of a node retains more than [`Config::diffset_ratio`] of its
 //!   parent's support — the deep-recursion regime on dense data — the
@@ -298,12 +299,13 @@ pub(crate) fn build_roots(
             }
         })
         .collect();
-    for (t, row) in db.iter().enumerate() {
-        for &item in row {
+    // Fill in layout order, so positions enter every tid-list sorted.
+    for (pos, &row) in ctx.masks.rows().iter().enumerate() {
+        for &item in db.transaction(row as usize) {
             match &mut slots[item as usize] {
                 Slot::Skip => {}
-                Slot::Dense(bs) => bs.set(t),
-                Slot::Sparse(list) => list.push(t as u32),
+                Slot::Dense(bs) => bs.set(pos),
+                Slot::Sparse(list) => list.push(pos as u32),
             }
         }
     }
@@ -311,24 +313,12 @@ pub(crate) fn build_roots(
         .into_iter()
         .enumerate()
         .filter_map(|(item, slot)| {
-            let (tids, support) = match slot {
+            let tids = match slot {
                 Slot::Skip => return None,
-                Slot::Dense(bs) => {
-                    let support = bs.count();
-                    (TidSet::Dense(bs), support)
-                }
-                Slot::Sparse(list) => {
-                    let support = list.len() as u64;
-                    (TidSet::Sparse(list), support)
-                }
+                Slot::Dense(bs) => TidSet::Dense(bs),
+                Slot::Sparse(list) => TidSet::Sparse(list),
             };
-            let mut counts = pool.take_counts();
-            counts.resize(ctx.masks.n_classes(), 0);
-            match &tids {
-                TidSet::Dense(bs) => stats.words_anded += ctx.masks.count_dense(bs, &mut counts),
-                TidSet::Sparse(list) => ctx.masks.count_sparse(list, &mut counts),
-                TidSet::Diff(_) => unreachable!("roots are never diffsets"),
-            }
+            let (support, counts) = tally(ctx, &tids, pool, stats);
             Some(Node {
                 item: item as ItemId,
                 support,
@@ -337,6 +327,27 @@ pub(crate) fn build_roots(
             })
         })
         .collect()
+}
+
+/// Support and class counts of a tids-mode node, the counts in a pooled
+/// buffer.
+fn tally(
+    ctx: &Ctx<'_>,
+    tids: &TidSet,
+    pool: &mut Pool,
+    stats: &mut EngineStats,
+) -> (u64, Vec<u64>) {
+    let mut counts = pool.take_counts();
+    counts.resize(ctx.masks.n_classes(), 0);
+    let support = match tids {
+        TidSet::Dense(bs) => {
+            stats.words_anded += ctx.masks.tally_words();
+            ctx.masks.count_dense(bs, &mut counts)
+        }
+        TidSet::Sparse(list) => ctx.masks.count_sparse(list, &mut counts),
+        TidSet::Diff(_) => unreachable!("diffset counts follow by subtraction"),
+    };
+    (support, counts)
 }
 
 /// Depth-first recursion over the subtree rooted at `siblings[pos]`.
@@ -513,13 +524,7 @@ fn tids_children(
                 }
             }
         };
-        let mut counts = pool.take_counts();
-        counts.resize(ctx.masks.n_classes(), 0);
-        match &tids {
-            TidSet::Dense(bs) => stats.words_anded += ctx.masks.count_dense(bs, &mut counts),
-            TidSet::Sparse(list) => ctx.masks.count_sparse(list, &mut counts),
-            TidSet::Diff(_) => unreachable!(),
-        }
+        let (_, counts) = tally(ctx, &tids, pool, stats);
         out.push(Node {
             item: sib.item,
             support: c.support,

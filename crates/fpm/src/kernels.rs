@@ -1,18 +1,21 @@
 //! Runtime-dispatched AND+popcount kernels behind every tally.
 //!
 //! All engines in this crate reduce the paper's `(T, F, ⊥)` tallies to
-//! `popcount(tidset & class_mask)`; this module owns that inner loop so
-//! the bit-identical contract lives in exactly one place:
+//! popcounts of tidsets and their intersections; this module owns that
+//! inner loop so the bit-identical contract lives in exactly one place:
 //!
 //! - [`Kernel::count`] / [`Kernel::and_count`] — population count of a
 //!   word buffer / of an intersection, without materializing it.
-//! - [`Kernel::tally`] — the **fused multi-mask tally**: one streaming
-//!   pass over the tidset's words that accumulates popcounts against
-//!   *all* class masks simultaneously. The masks are laid out
-//!   cache-blocked (see [`plane_words`]): per 8-word block of the tidset,
-//!   each class contributes one contiguous 64-byte line, so a tidset
-//!   cache line is touched once — not once per class as the historical
-//!   per-class loop did.
+//! - [`Kernel::count_segments`] / [`Kernel::and_count_segments`] — the
+//!   same over consecutive *bit ranges* (segments) of one buffer, one
+//!   count per segment. One pass takes the prefix popcount at each
+//!   segment bound: the runs of whole words between bounds go through
+//!   the kernel's wide body, and a word a bound splits is masked. This
+//!   is the tally of [`crate::masks::ClassMasks`], whose
+//!   class-sorted row layout turns every class count into segment
+//!   counts. The SIMD body is entered once per call, not once per
+//!   segment, so its split words compile to hardware popcounts too and
+//!   short tidsets pay no per-segment dispatch.
 //!
 //! Three implementations are selectable: `Scalar` (the reference
 //! word-by-word zip), `Unrolled` (8×u64 chunks with independent
@@ -41,11 +44,11 @@ struct Block([u64; BLOCK_WORDS]);
 
 /// A growable `u64` buffer whose storage is 64-byte aligned.
 ///
-/// Backing store for [`crate::bitset::Bitset`] words, the dense
-/// engine's buffer pool, and [`crate::masks::ClassMasks`] planes. The
-/// buffer rounds its capacity up to whole [`Block`]s; the logical length
-/// is tracked in words, and padding words past `len` inside the last
-/// block are never observable through [`AlignedWords::as_slice`].
+/// Backing store for [`crate::bitset::Bitset`] words and the dense
+/// engine's buffer pool. The buffer rounds its capacity up to whole
+/// [`Block`]s; the logical length is tracked in words, and padding words
+/// past `len` inside the last block are never observable through
+/// [`AlignedWords::as_slice`].
 #[derive(Debug, Clone, Default)]
 pub struct AlignedWords {
     blocks: Vec<Block>,
@@ -233,47 +236,89 @@ impl Kernel {
         }
     }
 
-    /// The fused multi-mask tally: overwrites `counts[c]` with
-    /// `popcount(tids & mask_c)` for every class in one streaming pass
-    /// over `tids`.
-    ///
-    /// `planes` is the cache-blocked mask layout of [`plane_words`]: for
-    /// each 8-word block `blk` of the tidset, class `c`'s words occupy
-    /// `planes[blk * 8 * n_classes + c * 8 ..][..8]` — one 64-byte line
-    /// per (block, class), zero-padded past the tidset's last word so
-    /// full-block arithmetic never consults the tail length.
-    pub fn tally(self, tids: &[u64], planes: &[u64], n_classes: usize, counts: &mut [u64]) {
-        debug_assert_eq!(counts.len(), n_classes);
-        debug_assert_eq!(planes.len(), plane_words(tids.len(), n_classes));
-        counts.fill(0);
-        if n_classes == 0 || tids.is_empty() {
-            return;
+    /// Popcounts the segments `[bounds[i], bounds[i + 1])` of `words`
+    /// (bit positions, `bounds` non-decreasing), calling
+    /// `credit(i, count)` once per segment in order.
+    pub fn count_segments(self, words: &[u64], bounds: &[usize], credit: impl FnMut(usize, u64)) {
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Simd && simd_available() {
+            // Safety: avx2+popcnt presence just checked.
+            return unsafe { avx2::count_segments(words, bounds, credit) };
         }
-        match self {
-            Kernel::Scalar => {
-                for (blk, tblock) in tids.chunks(BLOCK_WORDS).enumerate() {
-                    let base = blk * BLOCK_WORDS * n_classes;
-                    for (c, slot) in counts.iter_mut().enumerate() {
-                        let plane = &planes[base + c * BLOCK_WORDS..][..BLOCK_WORDS];
-                        *slot += tblock
-                            .iter()
-                            .zip(plane)
-                            .map(|(t, p)| (t & p).count_ones() as u64)
-                            .sum::<u64>();
-                    }
-                }
-            }
-            Kernel::Unrolled => unrolled::tally(tids, planes, counts),
-            Kernel::Simd => {
-                #[cfg(target_arch = "x86_64")]
-                if simd_available() {
-                    // Safety: avx2+popcnt presence just checked.
-                    unsafe { avx2::tally(tids, planes, counts) };
-                    return;
-                }
-                unrolled::tally(tids, planes, counts)
-            }
+        segments(bounds, credit, |w| words[w], |r| self.count(&words[r]))
+    }
+
+    /// [`Kernel::count_segments`] of `a & b`, without materializing the
+    /// intersection.
+    pub fn and_count_segments(
+        self,
+        a: &[u64],
+        b: &[u64],
+        bounds: &[usize],
+        credit: impl FnMut(usize, u64),
+    ) {
+        debug_assert_eq!(a.len(), b.len(), "kernel operands must match");
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Simd && simd_available() {
+            // Safety: avx2+popcnt presence just checked.
+            return unsafe { avx2::and_count_segments(a, b, bounds, credit) };
         }
+        segments(
+            bounds,
+            credit,
+            |w| a[w] & b[w],
+            |r| self.and_count(&a[r.clone()], &b[r]),
+        )
+    }
+}
+
+/// Words [`Kernel::count_segments`] reads for `bounds` (per operand,
+/// for [`Kernel::and_count_segments`]): every word up to the last bound
+/// once, plus one extra read of each word a bound splits.
+pub fn segment_words(bounds: &[usize]) -> u64 {
+    let mut done = 0;
+    let mut words = 0;
+    for &b in bounds {
+        if b / 64 > done {
+            words += b / 64 - done;
+            done = b / 64;
+        }
+        if b % 64 != 0 {
+            words += 1;
+        }
+    }
+    words as u64
+}
+
+/// The segment walk behind every kernel: one pass over the words up to
+/// the last bound, taking the prefix popcount at each bound and crediting
+/// segment `i` with `prefix(bounds[i + 1]) − prefix(bounds[i])`.
+/// `word(w)` yields word `w` of the operand, and `run` counts a range of
+/// whole words.
+#[inline(always)]
+fn segments(
+    bounds: &[usize],
+    mut credit: impl FnMut(usize, u64),
+    word: impl Fn(usize) -> u64,
+    mut run: impl FnMut(std::ops::Range<usize>) -> u64,
+) {
+    let mut done = 0; // words [0, done) are in `acc`
+    let mut acc = 0u64;
+    let mut prev = 0u64;
+    for (i, &b) in bounds.iter().enumerate() {
+        let w = b / 64;
+        if w > done {
+            acc += run(done..w);
+            done = w;
+        }
+        let prefix = match b % 64 {
+            0 => acc,
+            bit => acc + (word(w) & ((1u64 << bit) - 1)).count_ones() as u64,
+        };
+        if i > 0 {
+            credit(i - 1, prefix - prev);
+        }
+        prev = prefix;
     }
 }
 
@@ -281,12 +326,6 @@ impl std::fmt::Display for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Length of the cache-blocked plane buffer for `n_words`-word masks and
-/// `n_classes` classes: one zero-padded 8-word line per (block, class).
-pub fn plane_words(n_words: usize, n_classes: usize) -> usize {
-    n_words.div_ceil(BLOCK_WORDS) * BLOCK_WORDS * n_classes
 }
 
 fn simd_available() -> bool {
@@ -368,38 +407,6 @@ mod unrolled {
         }
         total
     }
-
-    pub fn tally(tids: &[u64], planes: &[u64], counts: &mut [u64]) {
-        let mut blocks = tids.chunks_exact(BLOCK_WORDS);
-        let mut base = 0;
-        for tblock in blocks.by_ref() {
-            // The tidset line stays resident while every class's line
-            // streams past it.
-            let t: &[u64; BLOCK_WORDS] = tblock.try_into().expect("exact chunk");
-            for slot in counts.iter_mut() {
-                let p: &[u64; BLOCK_WORDS] =
-                    planes[base..base + BLOCK_WORDS].try_into().expect("line");
-                let mut s = 0u64;
-                for lane in 0..BLOCK_WORDS {
-                    s += (t[lane] & p[lane]).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
-            }
-        }
-        let tail = blocks.remainder();
-        if !tail.is_empty() {
-            for slot in counts.iter_mut() {
-                let plane = &planes[base..base + BLOCK_WORDS];
-                let mut s = 0u64;
-                for (t, p) in tail.iter().zip(plane) {
-                    s += (t & p).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
-            }
-        }
-    }
 }
 
 /// AVX2 bodies: 256-bit loads and ANDs, per-lane hardware popcounts,
@@ -453,36 +460,26 @@ mod avx2 {
         total
     }
 
+    /// [`super::Kernel::count_segments`] with popcnt enabled throughout,
+    /// so the split words use the hardware popcount too.
     #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn tally(tids: &[u64], planes: &[u64], counts: &mut [u64]) {
-        let full = tids.len() / BLOCK_WORDS;
-        let mut base = 0;
-        for blk in 0..full {
-            // Load the tidset line once; it stays in registers while the
-            // classes' lines stream past.
-            let pt = tids.as_ptr().add(blk * BLOCK_WORDS) as *const __m256i;
-            let t_lo = _mm256_loadu_si256(pt);
-            let t_hi = _mm256_loadu_si256(pt.add(1));
-            for slot in counts.iter_mut() {
-                let pp = planes.as_ptr().add(base) as *const __m256i;
-                let lo = _mm256_and_si256(t_lo, _mm256_loadu_si256(pp));
-                let hi = _mm256_and_si256(t_hi, _mm256_loadu_si256(pp.add(1)));
-                *slot += popcount_2x256(lo, hi);
-                base += BLOCK_WORDS;
-            }
-        }
-        let tail = &tids[full * BLOCK_WORDS..];
-        if !tail.is_empty() {
-            for slot in counts.iter_mut() {
-                let plane = &planes[base..base + BLOCK_WORDS];
-                let mut s = 0u64;
-                for (t, p) in tail.iter().zip(plane) {
-                    s += (t & p).count_ones() as u64;
-                }
-                *slot += s;
-                base += BLOCK_WORDS;
-            }
-        }
+    pub unsafe fn count_segments(words: &[u64], bounds: &[usize], credit: impl FnMut(usize, u64)) {
+        super::segments(bounds, credit, |w| words[w], |r| count(&words[r]))
+    }
+
+    #[target_feature(enable = "avx2", enable = "popcnt")]
+    pub unsafe fn and_count_segments(
+        a: &[u64],
+        b: &[u64],
+        bounds: &[usize],
+        credit: impl FnMut(usize, u64),
+    ) {
+        super::segments(
+            bounds,
+            credit,
+            |w| a[w] & b[w],
+            |r| and_count(&a[r.clone()], &b[r]),
+        )
     }
 }
 
@@ -504,82 +501,147 @@ mod tests {
             .collect()
     }
 
-    /// Builds the cache-blocked plane layout from per-class mask words.
-    fn planes_of(masks: &[Vec<u64>], n_words: usize) -> Vec<u64> {
-        let n_classes = masks.len();
-        let mut planes = vec![0u64; plane_words(n_words, n_classes)];
-        for (c, mask) in masks.iter().enumerate() {
-            for (w, &word) in mask.iter().enumerate() {
-                planes[(w / BLOCK_WORDS) * BLOCK_WORDS * n_classes
-                    + c * BLOCK_WORDS
-                    + w % BLOCK_WORDS] = word;
-            }
+    /// Reference bit-range count: one probe per bit.
+    fn bits_ref(words: &[u64], lo: usize, hi: usize) -> u64 {
+        (lo..hi)
+            .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+            .count() as u64
+    }
+
+    /// Per-segment counts of `a` (of `a & b` when `b` is given).
+    fn seg_counts(k: Kernel, a: &[u64], b: Option<&[u64]>, bounds: &[usize]) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut credit = |i: usize, n: u64| {
+            assert_eq!(i, out.len(), "segments are credited in order");
+            out.push(n);
+        };
+        match b {
+            None => k.count_segments(a, bounds, &mut credit),
+            Some(b) => k.and_count_segments(a, b, bounds, &mut credit),
         }
-        planes
+        out
+    }
+
+    fn count_bits(k: Kernel, a: &[u64], lo: usize, hi: usize) -> u64 {
+        seg_counts(k, a, None, &[lo, hi])[0]
+    }
+
+    fn and_count_bits(k: Kernel, a: &[u64], b: &[u64], lo: usize, hi: usize) -> u64 {
+        seg_counts(k, a, Some(b), &[lo, hi])[0]
     }
 
     /// Every kernel matches the scalar reference on ragged lengths —
     /// including lengths straddling the 8-word block boundary and a
     /// trailing partial word pattern — for count, and_count and the
-    /// fused tally. Odd lengths prove no kernel reads past `len`: the
-    /// buffers are exactly `len` words long, so an out-of-bounds block
-    /// read would fault or (under the aligned storage) read padding and
-    /// diverge from the scalar result.
+    /// bit-range counts. Odd lengths prove no kernel reads past `len`:
+    /// the buffers are exactly `len` words long, so an out-of-bounds
+    /// block read would fault or (under the aligned storage) read padding
+    /// and diverge from the scalar result.
     #[test]
     fn kernels_match_scalar_on_ragged_lengths() {
-        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
+        for n in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 34, 64, 100] {
             let a = words(n, 1);
             let mut b = words(n, 2);
             if let Some(last) = b.last_mut() {
                 *last &= 0x00FF_FFFF_0000_FFFF; // trailing-word mask
             }
+            let ab: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
             let want_count = Kernel::Scalar.count(&a);
             let want_and = Kernel::Scalar.and_count(&a, &b);
-            let masks: Vec<Vec<u64>> = (0..3).map(|c| words(n, 10 + c)).collect();
-            let planes = planes_of(&masks, n);
-            let mut want_tally = vec![0u64; 3];
-            Kernel::Scalar.tally(&a, &planes, 3, &mut want_tally);
-            // The scalar tally itself must equal per-class and_counts.
-            for (c, mask) in masks.iter().enumerate() {
-                assert_eq!(
-                    want_tally[c],
-                    Kernel::Scalar.and_count(&a, mask),
-                    "n={n} c={c}"
-                );
-            }
+            let bits = n * 64;
+            // Ranges inside one word, across one boundary, and whole-word
+            // runs on both sides of the short-run cutoff.
+            let ranges = [
+                (0, bits),
+                (1, bits.saturating_sub(1)),
+                (5, 6),
+                (63, 65),
+                (64, 128),
+                (3, 33 * 64 + 7),
+                (70, 35 * 64 - 1),
+                (bits / 2, bits / 2),
+            ];
             for k in Kernel::ALL {
                 assert_eq!(k.count(&a), want_count, "{k} count n={n}");
                 assert_eq!(k.and_count(&a, &b), want_and, "{k} and_count n={n}");
-                let mut got = vec![0u64; 3];
-                k.tally(&a, &planes, 3, &mut got);
-                assert_eq!(got, want_tally, "{k} tally n={n}");
+                for (lo, hi) in ranges {
+                    let hi = hi.min(bits);
+                    let lo = lo.min(hi);
+                    assert_eq!(
+                        count_bits(k, &a, lo, hi),
+                        bits_ref(&a, lo, hi),
+                        "{k} [{lo},{hi}) n={n}"
+                    );
+                    assert_eq!(
+                        and_count_bits(k, &a, &b, lo, hi),
+                        bits_ref(&ab, lo, hi),
+                        "{k} and [{lo},{hi}) n={n}"
+                    );
+                }
             }
         }
     }
 
+    /// Every bit range of a short buffer, one bit at a time at each end:
+    /// an off-by-one in either boundary mask shows here.
     #[test]
-    fn tally_overwrites_stale_counts() {
-        let t = words(20, 3);
-        let masks: Vec<Vec<u64>> = (0..2).map(|c| words(20, 20 + c)).collect();
-        let planes = planes_of(&masks, 20);
+    fn bit_ranges_are_exact_at_every_boundary() {
+        let a = words(3, 4);
+        let b = words(3, 5);
+        let ab: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+        for lo in 0..=192 {
+            for hi in lo..=192 {
+                for k in Kernel::ALL {
+                    assert_eq!(
+                        count_bits(k, &a, lo, hi),
+                        bits_ref(&a, lo, hi),
+                        "{k} [{lo},{hi})"
+                    );
+                    assert_eq!(
+                        and_count_bits(k, &a, &b, lo, hi),
+                        bits_ref(&ab, lo, hi),
+                        "{k} and"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Consecutive segments of one buffer — empty ones, mid-word bounds,
+    /// one-bit ones and long runs — each count exactly their own bits.
+    #[test]
+    fn segments_partition_the_buffer_exactly() {
+        let n = 101;
+        let a = words(n, 6);
+        let b = words(n, 7);
+        let ab: Vec<u64> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
+        let bits = n * 64;
+        let bounds = [0, 0, 1, 63, 64, 64, 200, 201, 64 * 64 + 3, bits - 1, bits];
         for k in Kernel::ALL {
-            let mut counts = vec![u64::MAX; 2];
-            k.tally(&t, &planes, 2, &mut counts);
-            assert_eq!(counts[0], k.and_count(&t, &masks[0]), "{k}");
-            assert_eq!(counts[1], k.and_count(&t, &masks[1]), "{k}");
+            let plain = seg_counts(k, &a, None, &bounds);
+            let anded = seg_counts(k, &a, Some(&b), &bounds);
+            for (i, w) in bounds.windows(2).enumerate() {
+                assert_eq!(plain[i], bits_ref(&a, w[0], w[1]), "{k} segment {i}");
+                assert_eq!(anded[i], bits_ref(&ab, w[0], w[1]), "{k} and segment {i}");
+            }
+            assert_eq!(plain.iter().sum::<u64>(), k.count(&a), "{k}");
+            assert!(seg_counts(k, &a, None, &[0]).is_empty(), "{k}: no segments");
         }
     }
 
     #[test]
-    fn zero_classes_and_empty_tidsets_are_noops() {
+    fn empty_ranges_and_buffers_count_zero() {
         for k in Kernel::ALL {
-            k.tally(&[1, 2, 3], &[], 0, &mut []);
-            let mut counts = vec![7u64; 2];
-            k.tally(&[], &[], 2, &mut counts);
-            assert_eq!(counts, vec![0, 0], "{k}: empty tidset zeroes counts");
+            assert_eq!(count_bits(k, &[u64::MAX], 7, 7), 0, "{k}");
+            assert_eq!(and_count_bits(k, &[], &[], 0, 0), 0, "{k}");
             assert_eq!(k.count(&[]), 0, "{k}");
             assert_eq!(k.and_count(&[], &[]), 0, "{k}");
         }
+        assert_eq!(segment_words(&[]), 0);
+        assert_eq!(segment_words(&[0, 0]), 0);
+        // Words 0..2 once each, word 1 once more for the split at bit 70.
+        assert_eq!(segment_words(&[0, 70, 192]), 4);
+        assert_eq!(segment_words(&[0, 64, 130]), 3);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This crate implements the paper's [FP-growth](fpgrowth) over an
 //! FP-tree, the class-mask popcount engine [`dense`] (adaptive bitset /
-//! tid-list / dEclat-diffset representation with payload counters
-//! computed as `popcount(tidset & class_mask)`), the two-pass
+//! tid-list / dEclat-diffset representation over a class-sorted row
+//! layout, with payload counters computed as segment popcounts), the two-pass
 //! [`sharded`] engine, and a [naive reference miner](naive) used for
 //! differential testing. Merge-based vertical [Eclat](eclat) is not a
 //! selectable engine: it is Dense's fallback for payloads that do not
@@ -180,7 +180,8 @@ pub enum Algorithm {
     FpGrowth,
     /// Class-mask popcount counting with adaptive tidsets (bitsets,
     /// sorted tid-lists, dEclat diffsets): payload counters are computed
-    /// as `popcount(tidset & class_mask)` instead of per-tid merges.
+    /// as popcounts over the segments of a class-sorted row layout
+    /// instead of per-tid merges.
     /// Payloads that don't lower into class masks fall back to
     /// merge-based [`eclat`] transparently.
     Dense,

@@ -336,7 +336,7 @@ pub fn mine_arena_bounded<P: Payload + Send + Sync>(
     let shared = &shared;
 
     let locals: Vec<ItemsetArena<P>> = if let Some(masks) = ClassMasks::build(payloads) {
-        // Dense path: popcount counting against the shared class masks.
+        // Dense path: popcount counting over the shared class layout.
         // Root nodes are built once and shared read-only; each worker has
         // its own buffer pool, stats, and arena.
         let ctx = dense::Ctx {

@@ -239,11 +239,14 @@ mod tests {
             .map(|t| (CountPayload(t % 3), [CountPayload(t % 2), CountPayload(1)]))
             .collect();
         let masks = ClassMasks::build(&payloads).expect("composite is maskable");
-        let tids: Vec<u32> = vec![0, 3, 5, 8, 11];
+        let rows = [0usize, 3, 5, 8, 11];
+        // The tally takes layout positions, sorted.
+        let mut positions: Vec<u32> = rows.iter().map(|&r| masks.position(r) as u32).collect();
+        positions.sort_unstable();
         let mut counts = vec![0u64; masks.n_classes()];
-        masks.count_sparse(&tids, &mut counts);
+        masks.count_sparse(&positions, &mut counts);
         let decoded: Composite = masks.decode(&counts);
-        let expected = merge_all(tids.iter().map(|&t| payloads[t as usize]));
+        let expected = merge_all(rows.iter().map(|&r| payloads[r]));
         assert_eq!(decoded, expected);
     }
 

@@ -430,7 +430,9 @@ fn mine_shard_candidates<P: Payload, C: ShardSource<P>>(
 /// value-dependent specs (e.g. [`crate::CountPayload`] bit planes) can
 /// differ across shards, so raw class counts must never be summed
 /// globally — each shard decodes its counts into a payload first, and
-/// payloads merge exactly by the monoid laws.
+/// payloads merge exactly by the monoid laws. The bitsets are indexed by
+/// the shard layout's positions, so a candidate's support and class
+/// counts are one segment tally.
 fn recount_shard<P: Payload>(
     shard: &Shard<P>,
     candidates: &ItemsetArena<()>,
@@ -441,6 +443,8 @@ fn recount_shard<P: Payload>(
 ) -> bool {
     let n_rows = shard.db.len();
     let n_items = shard.db.n_items() as usize;
+    let masks = ClassMasks::build(&shard.payloads);
+    let position = |t: usize| masks.as_ref().map_or(t, |m| m.position(t));
     // Per-item bitsets, built only for items some candidate mentions.
     let mut dense_ix: Vec<u32> = vec![u32::MAX; n_items];
     let mut order: Vec<ItemId> = Vec::new();
@@ -454,70 +458,102 @@ fn recount_shard<P: Payload>(
     }
     let mut bits: Vec<Bitset> = vec![Bitset::zeros(n_rows); order.len()];
     for t in 0..n_rows {
+        let pos = position(t);
         for &item in shard.db.transaction(t) {
             let ix = dense_ix[item as usize];
             if ix != u32::MAX {
-                bits[ix as usize].set(t);
+                bits[ix as usize].set(pos);
             }
         }
     }
-    let masks = ClassMasks::build(&shard.payloads);
+    let item_bits = |item: ItemId| &bits[dense_ix[item as usize] as usize];
     let mut counts = vec![0u64; masks.as_ref().map_or(0, ClassMasks::n_classes)];
+    let tally_words = masks.as_ref().map_or(0, ClassMasks::tally_words);
     // Prefix-reuse AND-fold: a canonical arena visits the lattice in DFS
     // preorder, so consecutive candidates share itemset prefixes. Keep a
     // stack of partial intersections and recompute only the suffix that
     // differs from the previous candidate — amortized one in-place AND
-    // per candidate instead of `len` allocating ones. A non-canonical
-    // ordering stays correct (an unshared prefix just recomputes).
+    // per candidate instead of `len` allocating ones. `stack[d - 1]`
+    // holds the intersection of `prev[..=d]`; level 0 is the item's own
+    // bitset. A candidate the next one does not extend is a DFS leaf:
+    // its last AND is fused into the tally and never stored. A
+    // non-canonical ordering stays correct (an unshared prefix just
+    // recomputes).
     let mut stack: Vec<Bitset> = Vec::new();
-    let mut prev: Vec<ItemId> = Vec::new();
+    let mut prev: &[ItemId] = &[];
     let mut pool: Vec<AlignedWords> = Vec::new();
     for id in 0..candidates.len() {
         if id & 63 == 0 && shared.poll() {
             return false;
         }
         let items = candidates.items(id);
+        // Without a layout the payloads merge row by row off the stored
+        // intersection, so every candidate materializes.
+        let leaf = masks.is_some()
+            && (id + 1 == candidates.len() || {
+                let next = candidates.items(id + 1);
+                next.len() <= items.len() || !next.starts_with(items)
+            });
+        // Levels `0..l` of `prev` are shared and still held.
         let mut l = 0;
-        while l < stack.len() && prev.get(l) == items.get(l) {
+        while l <= stack.len() && l < prev.len().min(items.len()) && prev[l] == items[l] {
             l += 1;
         }
-        while stack.len() > l {
+        while stack.len() > l.saturating_sub(1) {
             pool.push(stack.pop().expect("stack is non-empty").into_words());
         }
-        for d in l..items.len() {
-            let item_bits = &bits[dense_ix[items[d] as usize] as usize];
-            let next = if d == 0 {
-                item_bits.clone()
-            } else {
-                let mut words = pool.pop().unwrap_or_default();
-                stack[d - 1].and_into(item_bits, &mut words);
-                *words_anded += item_bits.n_words() as u64;
-                Bitset::from_words(words)
-            };
-            stack.push(next);
+        let first = item_bits(items[0]);
+        // Store levels `l..` (level 0 is the item's own bitset), all but
+        // the last for a leaf.
+        let stored = items.len() - usize::from(leaf);
+        for &item in &items[l.max(1).min(stored)..stored] {
+            let below = level(first, &stack, stack.len());
+            let mut words = pool.pop().unwrap_or_default();
+            below.and_into(item_bits(item), &mut words);
+            *words_anded += below.n_words() as u64;
+            stack.push(Bitset::from_words(words));
         }
-        prev.clear();
-        prev.extend_from_slice(items);
-        let folded = stack.last().expect("candidates are non-empty");
-        let sup = folded.count();
-        *words_anded += folded.n_words() as u64;
+        prev = items;
+        let level = |d: usize| level(first, &stack, d);
+        let last = items.len() - 1;
+        let sup = match &masks {
+            Some(m) => {
+                *words_anded += tally_words;
+                if leaf && last > 0 {
+                    m.count_and(level(last - 1), item_bits(items[last]), &mut counts)
+                } else {
+                    m.count_dense(level(last), &mut counts)
+                }
+            }
+            None => {
+                *words_anded += level(last).n_words() as u64;
+                level(last).count()
+            }
+        };
         if sup == 0 {
             continue;
         }
         supports[id] += sup;
         match &masks {
-            Some(m) => {
-                *words_anded += m.count_dense(folded, &mut counts);
-                acc[id].merge(&m.decode::<P>(&counts));
-            }
+            Some(m) => acc[id].merge(&m.decode::<P>(&counts)),
             None => {
-                for t in folded.iter_ones() {
+                for t in level(last).iter_ones() {
                     acc[id].merge(&shard.payloads[t]);
                 }
             }
         }
     }
     true
+}
+
+/// Level `d` of the recount's prefix stack: the intersection of the
+/// candidate's first `d + 1` items.
+fn level<'a>(first: &'a Bitset, stack: &'a [Bitset], d: usize) -> &'a Bitset {
+    if d == 0 {
+        first
+    } else {
+        &stack[d - 1]
+    }
 }
 
 /// A minimal bounded MPMC channel for the prefetch pipeline (the
@@ -1516,6 +1552,140 @@ mod tests {
             assert_eq!(stats.recount_rows, db.len() as u64);
             assert_eq!(sink.found, expected, "K={n_shards}");
         }
+    }
+
+    /// Candidate arenas whose order breaks the DFS structure the recount's
+    /// prefix stack and leaf detection lean on, each a list of itemsets.
+    fn irregular_arenas(canonical: &ItemsetArena<()>) -> Vec<(&'static str, Vec<Vec<ItemId>>)> {
+        let sets: Vec<Vec<ItemId>> = (0..canonical.len())
+            .map(|id| canonical.items(id).to_vec())
+            .collect();
+        let n = sets.len();
+        // A fixed permutation that scatters neighbours.
+        let shuffled: Vec<Vec<ItemId>> = (0..n).map(|i| sets[i * 7919 % n].clone()).collect();
+        // Each itemset twice: adjacent for even ids, a stride apart for odd.
+        let mut duplicated = Vec::new();
+        for (i, items) in sets.iter().enumerate() {
+            duplicated.push(items.clone());
+            if i % 2 == 0 {
+                duplicated.push(items.clone());
+            }
+        }
+        duplicated.extend(sets.iter().skip(1).step_by(2).cloned());
+        // Non-closed: holes anywhere, including the prefixes of kept
+        // itemsets, as a divergence filter leaves them.
+        let holes: Vec<Vec<ItemId>> = sets
+            .iter()
+            .filter(|items| items.iter().map(|&x| x as usize).sum::<usize>() % 3 != 0)
+            .cloned()
+            .collect();
+        // Extensions before their prefixes: every candidate is followed
+        // by one it does not extend.
+        let reversed: Vec<Vec<ItemId>> = sets.iter().rev().cloned().collect();
+        vec![
+            ("canonical", sets),
+            ("shuffled", shuffled),
+            ("duplicated", duplicated),
+            ("holes", holes),
+            ("reversed", reversed),
+        ]
+    }
+
+    /// Recounts `arenas` over K ∈ {1, 3} shards and threads ∈ {1, 2}: each
+    /// candidate must come back with exactly the support and payload Dense
+    /// mines for it on the same data.
+    fn assert_recounts_match_dense<P>(db: &TransactionDb, payloads: &[P])
+    where
+        P: Payload + Send + Sync + PartialEq + std::fmt::Debug,
+    {
+        let params = MiningParams::with_min_support_count(1);
+        let mut mined: ItemsetArena<P> = ItemsetArena::new();
+        dense::mine_into(db, payloads, &params, &mut mined);
+        let tallies: std::collections::HashMap<Vec<ItemId>, (u64, P)> = mined
+            .iter()
+            .map(|e| (e.items.to_vec(), (e.support, e.payload.clone())))
+            .collect();
+        let mut canonical = mined.to_candidates();
+        canonical.sort_canonical();
+        assert!(
+            (0..canonical.len()).any(|id| canonical.items(id).len() >= 4),
+            "the lattice must be deep enough to stack prefixes"
+        );
+        for (name, sets) in irregular_arenas(&canonical) {
+            let mut candidates = ItemsetArena::new();
+            for items in &sets {
+                candidates.push(items, 0, ());
+            }
+            for n_shards in [1, 3] {
+                for threads in [1, 2] {
+                    let source = MemShardSource::new(db, payloads, n_shards);
+                    let mut sink = VecSink::new();
+                    let (completeness, _) = recount_into_bounded(
+                        &source,
+                        &candidates,
+                        1,
+                        threads,
+                        0,
+                        &Budget::unlimited(),
+                        None,
+                        &mut sink,
+                    );
+                    let at = format!("{name} K={n_shards} threads={threads}");
+                    assert_eq!(completeness, Completeness::Complete, "{at}");
+                    assert_eq!(sink.found.len(), sets.len(), "{at}");
+                    for (fi, items) in sink.found.iter().zip(&sets) {
+                        assert_eq!(&fi.items, items, "{at}: candidate order");
+                        let (support, payload) = &tallies[items];
+                        assert_eq!(fi.support, *support, "{at}: support of {items:?}");
+                        assert_eq!(&fi.payload, payload, "{at}: payload of {items:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 150-row table (three words per tidset) with a deep lattice.
+    fn deep_db() -> TransactionDb {
+        let rows: Vec<Vec<u32>> = (0..150u32)
+            .map(|t| (0..6).filter(|&i| (t / (i + 1) + i) % 3 != 0).collect())
+            .collect();
+        TransactionDb::from_rows(6, &rows)
+    }
+
+    #[test]
+    fn recount_leaf_detection_survives_irregular_arenas() {
+        let db = deep_db();
+        // Bit-plane classes: many signatures, and value-0 rows in none.
+        let counts: Vec<CountPayload> = (0..150).map(|t| CountPayload(t % 9)).collect();
+        assert_recounts_match_dense(&db, &counts);
+        // A composite with few signatures, as outcome payloads have.
+        let pairs: Vec<(CountPayload, CountPayload)> = (0..150)
+            .map(|t| {
+                (
+                    CountPayload(u64::from(t % 4 == 0)),
+                    CountPayload(u64::from(t % 3 == 0)),
+                )
+            })
+            .collect();
+        assert_recounts_match_dense(&db, &pairs);
+    }
+
+    /// Without a class layout the recount merges payloads row by row off
+    /// every stored intersection; irregular arenas stay exact there too.
+    #[test]
+    fn recount_without_a_layout_survives_irregular_arenas() {
+        #[derive(Debug, Clone, PartialEq)]
+        struct Opaque(u64);
+        impl Payload for Opaque {
+            fn zero() -> Self {
+                Opaque(0)
+            }
+            fn merge(&mut self, other: &Self) {
+                self.0 += other.0;
+            }
+        }
+        let payloads: Vec<Opaque> = (0..150).map(|t| Opaque(t * t)).collect();
+        assert_recounts_match_dense(&deep_db(), &payloads);
     }
 
     #[test]

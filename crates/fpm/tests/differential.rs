@@ -6,6 +6,7 @@
 use fpm::itemset::sort_canonical;
 use fpm::{Algorithm, CountPayload, FrequentItemset, MiningParams, MiningTask, TransactionDb};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rustc_hash::FxHashMap;
 
 /// Runs `algo` over `db` through the `MiningTask` builder (the canonical
@@ -31,6 +32,83 @@ fn small_db() -> impl Strategy<Value = TransactionDb> {
 
 fn payloads_for(db: &TransactionDb) -> Vec<CountPayload> {
     (0..db.len()).map(|t| CountPayload(t as u64 + 1)).collect()
+}
+
+/// Metrics the layout oracle draws from: both ⊥-free and ⊥-carrying
+/// outcome functions.
+const METRICS: [divexplorer::Metric; 6] = [
+    divexplorer::Metric::FalsePositiveRate,
+    divexplorer::Metric::FalseNegativeRate,
+    divexplorer::Metric::ErrorRate,
+    divexplorer::Metric::PositivePredictiveValue,
+    divexplorer::Metric::PositiveRate,
+    divexplorer::Metric::PredictedPositiveRate,
+];
+
+/// Checks every tally of `payloads`' class-sorted layout against the
+/// per-row `Payload::merge` of the same rows in row order. The rows are
+/// `A ∩ B` for the dense, sparse and diffset tallies, and the fused
+/// tally ANDs the two sets itself, as a DFS leaf does.
+fn check_layout<P>(payloads: &[P], in_a: &[bool], in_b: &[bool]) -> Result<(), TestCaseError>
+where
+    P: fpm::Payload + PartialEq + std::fmt::Debug,
+{
+    use fpm::bitset::Bitset;
+    use fpm::{ClassMasks, Kernel};
+    let n = payloads.len();
+    let masks = ClassMasks::build(payloads).expect("payloads lower to a layout");
+    let nc = masks.n_classes();
+    let rows: Vec<usize> = (0..n).filter(|&r| in_a[r] && in_b[r]).collect();
+    let mut expected = P::zero();
+    for &r in &rows {
+        expected.merge(&payloads[r]);
+    }
+    // An empty row set decodes to zero counts, which a payload whose
+    // zero adapts its arity (`MultiCounts`) does not compare equal to.
+    let decode = |counts: &[u64]| {
+        if rows.is_empty() {
+            prop_assert!(counts.iter().all(|&c| c == 0), "empty set: {:?}", counts);
+            return Ok(expected.clone());
+        }
+        Ok(masks.decode::<P>(counts))
+    };
+    let to_bits = |member: &dyn Fn(usize) -> bool| {
+        let mut bs = Bitset::zeros(n);
+        for r in (0..n).filter(|&r| member(r)) {
+            bs.set(masks.position(r));
+        }
+        bs
+    };
+    let to_positions = |member: &dyn Fn(usize) -> bool| {
+        let mut out: Vec<u32> = (0..n)
+            .filter(|&r| member(r))
+            .map(|r| masks.position(r) as u32)
+            .collect();
+        out.sort_unstable();
+        out
+    };
+    let (a, b) = (to_bits(&|r| in_a[r]), to_bits(&|r| in_b[r]));
+    let both = to_bits(&|r| in_a[r] && in_b[r]);
+    for k in Kernel::ALL {
+        let mut dense = vec![u64::MAX; nc]; // stale: must be overwritten
+        let support = masks.count_dense_with(k, &both, &mut dense);
+        prop_assert_eq!(decode(&dense)?, expected.clone(), "{} dense", k);
+        prop_assert_eq!(support, rows.len() as u64, "{} dense support", k);
+        let mut fused = vec![u64::MAX; nc];
+        let support = masks.count_and_with(k, &a, &b, &mut fused);
+        prop_assert_eq!(&fused, &dense, "{} fused leaf", k);
+        prop_assert_eq!(support, rows.len() as u64, "{} fused support", k);
+    }
+    let mut sparse = vec![u64::MAX; nc];
+    let support = masks.count_sparse(&to_positions(&|r| in_a[r] && in_b[r]), &mut sparse);
+    prop_assert_eq!(decode(&sparse)?, expected.clone(), "sparse walk");
+    prop_assert_eq!(support, rows.len() as u64, "sparse support");
+    // Diffset: counts(universe) − counts(complement) = counts(rows).
+    let mut diff = vec![0u64; nc];
+    masks.count_sparse(&to_positions(&|_| true), &mut diff);
+    masks.subtract_sparse(&to_positions(&|r| !(in_a[r] && in_b[r])), &mut diff);
+    prop_assert_eq!(&diff, &sparse, "diffset subtraction");
+    Ok(())
 }
 
 proptest! {
@@ -364,48 +442,56 @@ proptest! {
         }
     }
 
-    /// The fused multi-mask tally agrees with the per-class loop and with
-    /// per-tid scans under every kernel and every tidset representation
-    /// the engines hold: dense bitset, sorted tid-list, and the dEclat
-    /// diffset subtraction. The composite payload lowers to up to
-    /// 3 + 2 = 5 class masks.
+    /// Every tally of the class-sorted layout equals a per-row
+    /// `Payload::merge` in row order, under every kernel and every tidset
+    /// representation the engines hold: dense bitset, the fused AND of a
+    /// DFS leaf, sorted position list, and the dEclat diffset
+    /// subtraction. The composite payload lowers to up to 3 + 2 = 5
+    /// classes with up to 32 signatures: rows with value 0 in both
+    /// components sit in no class, and segments start mid-word.
     #[test]
     fn fused_tally_agrees_across_representations(
-        rows in proptest::collection::vec(any::<bool>(), 1..200),
+        rows in proptest::collection::vec((0u64..8, 0u64..4, any::<bool>(), any::<bool>()), 1..200),
     ) {
-        use fpm::bitset::Bitset;
-        use fpm::{ClassMasks, Kernel};
-        let n = rows.len();
-        let payloads: Vec<(CountPayload, CountPayload)> = (0..n as u64)
-            .map(|t| (CountPayload(t % 8), CountPayload(t % 4)))
+        let payloads: Vec<(CountPayload, CountPayload)> =
+            rows.iter().map(|&(x, y, _, _)| (CountPayload(x), CountPayload(y))).collect();
+        let in_a: Vec<bool> = rows.iter().map(|r| r.2).collect();
+        let in_b: Vec<bool> = rows.iter().map(|r| r.3).collect();
+        check_layout(&payloads, &in_a, &in_b)?;
+    }
+
+    /// The layout oracle on the production payload: `MultiCounts` with
+    /// 1–3 metrics from random `(v, u)`, so at most four signatures,
+    /// with row counts straddling 64-bit words.
+    #[test]
+    fn layout_tallies_match_row_order_merge_for_multi_counts(
+        rows in proptest::collection::vec((any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()), 1..300),
+        metrics in proptest::collection::vec(0usize..METRICS.len(), 1..4),
+    ) {
+        let payloads: Vec<divexplorer::MultiCounts> = rows
+            .iter()
+            .map(|&(v, u, _, _)| {
+                let outcomes: Vec<_> = metrics.iter().map(|&m| METRICS[m].outcome(v, u)).collect();
+                divexplorer::MultiCounts::from_outcomes(&outcomes)
+            })
             .collect();
-        let masks = ClassMasks::build(&payloads).expect("CountPayload tuples are maskable");
-        let nc = masks.n_classes();
-        let mut bs = Bitset::zeros(n);
-        let mut tid_list: Vec<u32> = Vec::new();
-        for (t, &member) in rows.iter().enumerate() {
-            if member {
-                bs.set(t);
-                tid_list.push(t as u32);
-            }
-        }
-        let mut reference = vec![0u64; nc];
-        masks.count_sparse(&tid_list, &mut reference);
-        for k in Kernel::ALL {
-            let mut fused = vec![u64::MAX; nc]; // stale: must be overwritten
-            masks.count_dense_with(k, &bs, &mut fused);
-            prop_assert_eq!(&fused, &reference, "{} fused vs tid-list scan", k);
-            let mut per_class = vec![0u64; nc];
-            masks.count_dense_per_class(k, &bs, &mut per_class);
-            prop_assert_eq!(&per_class, &reference, "{} per-class vs tid-list scan", k);
-        }
-        // Diffset: counts(universe) − counts(complement) = counts(tids).
-        let complement: Vec<u32> = (0..n as u32).filter(|&t| !rows[t as usize]).collect();
-        let universe: Vec<u32> = (0..n as u32).collect();
-        let mut diff = vec![0u64; nc];
-        masks.count_sparse(&universe, &mut diff);
-        masks.subtract_sparse(&complement, &mut diff);
-        prop_assert_eq!(&diff, &reference, "diffset subtraction");
+        let in_a: Vec<bool> = rows.iter().map(|r| r.2).collect();
+        let in_b: Vec<bool> = rows.iter().map(|r| r.3).collect();
+        check_layout(&payloads, &in_a, &in_b)?;
+    }
+
+    /// The same oracle where most rows have a signature of their own:
+    /// two components of six bit planes each give 4096 signatures, so
+    /// most segments hold one row.
+    #[test]
+    fn layout_tallies_match_row_order_merge_with_one_row_segments(
+        rows in proptest::collection::vec((0u64..64, 0u64..64, any::<bool>(), any::<bool>()), 1..150),
+    ) {
+        let payloads: Vec<[CountPayload; 2]> =
+            rows.iter().map(|&(x, y, _, _)| [CountPayload(x), CountPayload(y)]).collect();
+        let in_a: Vec<bool> = rows.iter().map(|r| r.2).collect();
+        let in_b: Vec<bool> = rows.iter().map(|r| r.3).collect();
+        check_layout(&payloads, &in_a, &in_b)?;
     }
 
     /// Sharded under budgets: an expired deadline cuts a phase (reported

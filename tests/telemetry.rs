@@ -234,3 +234,55 @@ fn truncated_verdict_agrees_with_report_and_counters() {
         }
     }
 }
+
+/// The word counters report the words the counting actually read,
+/// pinned on a fixed 100-row table: tidsets of two words, and a class
+/// layout of two segments (even rows carry no class, odd rows class 0)
+/// whose bound at position 50 splits word 0 and whose end at 100 splits
+/// word 1. One tally therefore reads 3 words: word 0 up to the bound,
+/// word 0 again from it, and word 1.
+#[test]
+fn word_counters_count_the_words_actually_read() {
+    let _guard = obs_lock();
+    let rows: Vec<Vec<u32>> = (0..100)
+        .map(|t| if t % 2 == 0 { vec![0, 1] } else { vec![0] })
+        .collect();
+    let db = fpm::TransactionDb::from_rows(2, &rows);
+    let payloads: Vec<fpm::CountPayload> = (0..100).map(|t| fpm::CountPayload(t % 2)).collect();
+    let params = fpm::MiningParams::with_min_support_count(1);
+    let kernel_words = fpm::kernels::selected().words_counter();
+
+    let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
+    obs::install(recorder.clone());
+    let mined = fpm::MiningTask::with_params(&db, params.clone())
+        .payloads(&payloads)
+        .algorithm(Algorithm::Dense)
+        .run()
+        .store;
+    obs::uninstall();
+    assert_eq!(mined.len(), 3, "{{0}}, {{1}} and {{0, 1}}");
+    let snap = recorder.snapshot();
+    // Two root tallies (3 + 3), the support AND of {0, 1} (2), its
+    // stored intersection (2) and its tally (3).
+    assert_eq!(snap.counter("fpm.dense.words_anded"), 13);
+    assert_eq!(snap.counter(kernel_words), 13);
+    assert_eq!(snap.counter("fpm.layout.segments"), 2);
+    assert_eq!(snap.span("fpm.layout.build").map(|s| s.count), Some(1));
+
+    // The recount of the same lattice over one shard: every candidate is
+    // a DFS leaf in canonical order, so each costs one tally (the last
+    // one fused with its AND) and nothing is stored.
+    let mut candidates = mined.to_candidates();
+    candidates.sort_canonical();
+    let recorder = std::sync::Arc::new(obs::StatsRecorder::new());
+    obs::install(recorder.clone());
+    let recounted = fpm::MiningTask::with_params(&db, params)
+        .payloads(&payloads)
+        .shards(1)
+        .recount(&candidates);
+    obs::uninstall();
+    assert_eq!(recounted.store.len(), 3);
+    let snap = recorder.snapshot();
+    assert_eq!(snap.counter(kernel_words), 9);
+    assert_eq!(snap.counter("fpm.dense.words_anded"), 0);
+}
